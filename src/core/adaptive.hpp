@@ -1,11 +1,13 @@
 // Adaptive tasks (§II-D): on-demand task creation.
 //
-// A running task may publish a *splitter*. When the combiner's traversal
-// finds fewer ready tasks than pending steal requests, it invokes splitters
-// of running adaptive tasks with a SplitContext holding the unserved
-// requests. The steal mutex guarantees the paper's invariant: at most one
-// thief executes a splitter concurrently with the task body, so body/splitter
-// coordination can use simple protocols (here: a spinlocked interval).
+// A running task may publish a *splitter*, `void(void* args, SplitContext&)`.
+// When the combiner's traversal finds fewer ready tasks than pending steal
+// requests, it invokes splitters of running adaptive tasks with the task's
+// own `args` (the state body and splitter share) and a SplitContext holding
+// the unserved requests. The steal mutex guarantees the paper's invariant:
+// at most one thief executes a splitter concurrently with the task body, so
+// body/splitter coordination can use simple protocols (here: a spinlocked
+// interval).
 //
 // A splitter replies with freshly heap-allocated tasks; the receiving thief
 // pushes the reply into a fresh frame of its own stack and executes it there,
@@ -22,24 +24,18 @@ namespace xk {
 
 namespace detail {
 
-/// Heap-allocated task wrapper produced by splitters. Deleted by the frame
-/// that hosted the reply (Frame::reset) through Task::heap_deleter.
+/// Heap-allocated task produced by splitters: the descriptor with the
+/// functor behind it. Deleted by the frame that hosted the reply
+/// (Frame::reset) through Task::heap_deleter.
 template <typename F>
-struct HeapTask {
-  Task task;
+struct HeapTask : Task {
   F fn;
-  explicit HeapTask(F f) : fn(std::move(f)) {}
+  explicit HeapTask(F f) : fn(std::move(f)) {
+    body = [](void* a, Worker& w) { (*static_cast<F*>(a))(w); };
+    args = &fn;
+    heap_deleter = [](Task* t) { delete static_cast<HeapTask*>(t); };
+  }
 };
-
-template <typename F>
-void heap_task_trampoline(void* args, Worker& w) {
-  (*static_cast<F*>(args))(w);
-}
-
-template <typename F>
-void heap_task_deleter(void* box) {
-  delete static_cast<HeapTask<F>*>(box);
-}
 
 }  // namespace detail
 
@@ -47,22 +43,16 @@ void heap_task_deleter(void* box) {
 /// that eventually hosts it (see Frame::reset).
 template <typename F>
 Task* make_heap_task(F fn) {
-  auto* box = new detail::HeapTask<F>(std::move(fn));
-  box->task.heap_owned = true;
-  box->task.heap_deleter = &detail::heap_task_deleter<F>;
-  box->task.heap_box = box;
-  box->task.body = &detail::heap_task_trampoline<F>;
-  box->task.args = &box->fn;
-  return &box->task;
+  return new detail::HeapTask<F>(std::move(fn));
 }
 
-/// Arms a prepared (unpublished) task as adaptive. Must be called before the
-/// descriptor is pushed into a frame; after publication the splitter fields
-/// are immutable and only `splitter_armed` may change (the body clears it
-/// via `task.splitter_armed.store(false)` when no divisible work remains).
-inline void arm_splitter(Task& task, TaskSplitter splitter, void* state) {
+/// Arms a prepared (unpublished) task as adaptive; the splitter will be
+/// called with the task's `args`. Must be called before the descriptor is
+/// pushed into a frame; after publication the splitter is immutable and
+/// only `splitter_armed` may change (the body clears it via
+/// `task.splitter_armed.store(false)` when no divisible work remains).
+inline void arm_splitter(Task& task, TaskSplitter splitter) {
   task.splitter = splitter;
-  task.adaptive_state = state;
   task.splitter_armed.store(true, std::memory_order_release);
 }
 

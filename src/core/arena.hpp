@@ -41,22 +41,18 @@ class Arena {
   /// Recycles all blocks for reuse; does not run destructors (callers that
   /// need destruction run it in the task trampoline).
   void reset() {
-    blocks_in_use_ = nullptr;
-    if (first_ != nullptr) {
-      // Rewind to the first block; the spare list keeps the others.
-      cursor_ = first_->payload();
-      limit_ = first_->payload() + first_->capacity;
-      blocks_in_use_ = first_;
-      Block* extra = first_->next;
-      first_->next = nullptr;
-      while (extra != nullptr) {
-        Block* n = extra->next;
-        extra->next = spares_;
-        spares_ = extra;
-        extra = n;
-      }
-    } else {
-      cursor_ = limit_ = 0;
+    if (first_ == nullptr) return;
+    // Rewind to the first block; the spare list keeps the others.
+    cursor_ = first_->payload();
+    limit_ = cursor_ + first_->capacity;
+    Block* extra = first_->next;
+    first_->next = nullptr;
+    tail_ = first_;
+    while (extra != nullptr) {
+      Block* n = extra->next;
+      extra->next = spares_;
+      spares_ = extra;
+      extra = n;
     }
   }
 
@@ -87,26 +83,22 @@ class Arena {
     const std::size_t cap = need > kDefaultBlockBytes ? need : kDefaultBlockBytes;
     const std::size_t raw = sizeof(Block) + kCacheLine + cap;
     auto* b = static_cast<Block*>(::operator new(raw));
-    b->next = nullptr;
     b->capacity = cap;
     total_allocated_ += raw;
-    if (first_ == nullptr) first_ = b;
     attach(b);
   }
 
+  /// Appends `b` to the in-use chain in O(1) and bumps from it.
   void attach(Block* b) {
     b->next = nullptr;
-    if (blocks_in_use_ != nullptr && blocks_in_use_ != b) {
-      // Chain after the current block list head for later reset/release.
-      Block* tail = blocks_in_use_;
-      while (tail->next != nullptr) tail = tail->next;
-      tail->next = b;
-    } else if (blocks_in_use_ == nullptr) {
-      blocks_in_use_ = b;
-      if (first_ == nullptr) first_ = b;
+    if (tail_ == nullptr) {
+      first_ = b;
+    } else {
+      tail_->next = b;
     }
+    tail_ = b;
     cursor_ = b->payload();
-    limit_ = b->payload() + b->capacity;
+    limit_ = cursor_ + b->capacity;
   }
 
   void release_all() {
@@ -119,12 +111,12 @@ class Arena {
     };
     free_chain(first_);
     free_chain(spares_);
-    first_ = blocks_in_use_ = spares_ = nullptr;
+    first_ = tail_ = spares_ = nullptr;
   }
 
-  Block* first_ = nullptr;          // head of the in-use chain (kept on reset)
-  Block* blocks_in_use_ = nullptr;  // current chain
-  Block* spares_ = nullptr;         // recycled blocks
+  Block* first_ = nullptr;   // head of the in-use chain (kept on reset)
+  Block* tail_ = nullptr;    // last in-use block: where grow() appends
+  Block* spares_ = nullptr;  // recycled blocks
   std::uintptr_t cursor_ = 0;
   std::uintptr_t limit_ = 0;
   std::size_t total_allocated_ = 0;

@@ -103,40 +103,35 @@ bool claim_reserved_slice(ForeachShared& sh, ForeachWork& w, Worker& self) {
   return false;
 }
 
-/// Splitter-produced piece: owns a shared ref, runs the work loop, then
-/// retires. Move-only so the single live instance releases exactly once.
-struct PieceFn {
+/// Body of every foreach task, root and pieces alike: `args` is the task's
+/// ForeachWork, which the splitter receives as well.
+void foreach_body(void* args, Worker& wk) {
+  auto* w = static_cast<ForeachWork*>(args);
+  foreach_run(*w, wk);
+  if (w->shared->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Possibly the last live body: the master may be parked on
+    // sh.finished() in foreach_execute — wake the parked set.
+    wk.runtime().notify_progress();
+  }
+}
+
+/// Splitter-produced piece: a heap task carrying its own ForeachWork and
+/// one shared ref, released when the hosting frame deletes it.
+struct ForeachPiece : Task {
   ForeachWork work;
 
-  explicit PieceFn(ForeachShared* sh, std::int64_t b, std::int64_t e) {
+  ForeachPiece(ForeachShared* sh, std::int64_t b, std::int64_t e) {
     work.shared = sh;
     work.interval.b = b;
     work.interval.e = e;
+    body = &foreach_body;
+    args = &work;
+    heap_deleter = [](Task* t) { delete static_cast<ForeachPiece*>(t); };
+    arm_splitter(*this, &foreach_splitter);
   }
-  PieceFn(PieceFn&& o) noexcept {
-    work.shared = o.work.shared;
-    o.work.shared = nullptr;
-    o.work.interval.lk.lock();  // no real contention: o not yet published
-    work.interval.b = o.work.interval.b;
-    work.interval.e = o.work.interval.e;
-    o.work.interval.lk.unlock();
-  }
-  PieceFn(const PieceFn&) = delete;
-  PieceFn& operator=(const PieceFn&) = delete;
-  PieceFn& operator=(PieceFn&&) = delete;
-  ~PieceFn() {
-    if (work.shared != nullptr) work.shared->release();
-  }
-
-  void operator()(Worker& wk) {
-    ForeachShared& sh = *work.shared;
-    foreach_run(work, wk);
-    if (sh.outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Possibly the last live body: the master may be parked on
-      // sh.finished() in foreach_execute — wake the parked set.
-      wk.runtime().notify_progress();
-    }
-  }
+  ForeachPiece(const ForeachPiece&) = delete;
+  ForeachPiece& operator=(const ForeachPiece&) = delete;
+  ~ForeachPiece() { work.shared->release(); }
 };
 
 /// Creates one splitter reply covering [b, e). The new task is itself
@@ -148,10 +143,7 @@ void reply_piece(SplitContext& sc, ForeachShared& sh, std::int64_t b,
                  std::int64_t e) {
   sh.add_ref();
   sh.outstanding.fetch_add(1, std::memory_order_acq_rel);
-  Task* t = make_heap_task(PieceFn(&sh, b, e));
-  auto* fn = static_cast<PieceFn*>(t->args);
-  arm_splitter(*t, &foreach_splitter, &fn->work);
-  if (!sc.reply_raw(t)) std::abort();
+  if (!sc.reply_raw(new ForeachPiece(&sh, b, e))) std::abort();
 }
 
 }  // namespace
@@ -295,15 +287,9 @@ void foreach_execute(ForeachShared& sh, std::int64_t first, std::int64_t last,
   // the normal FIFO path (sync claims it; if a thief wins the claim race the
   // sync suspends and helps, §II-B).
   auto* t = new (w.frame_alloc(sizeof(Task), alignof(Task))) Task();
-  t->body = [](void* a, Worker& self) {
-    auto* rw = static_cast<ForeachWork*>(a);
-    foreach_run(*rw, self);
-    if (rw->shared->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      self.runtime().notify_progress();
-    }
-  };
+  t->body = &foreach_body;
   t->args = &root;
-  arm_splitter(*t, &foreach_splitter, &root);
+  arm_splitter(*t, &foreach_splitter);
   w.push_task(t);
   sync();
 

@@ -15,9 +15,7 @@ void Frame::delete_heap_tasks() {
   Iterator it(*this);
   for (std::uint32_t i = 0; i < n; ++i, it.advance()) {
     Task* t = it.get();
-    if (t->heap_owned && t->heap_deleter != nullptr) {
-      t->heap_deleter(t->heap_box);
-    }
+    if (t->heap_owned()) t->heap_deleter(t);
   }
   has_heap_tasks_ = false;
 }
@@ -46,7 +44,11 @@ void Frame::reset() {
   head_.next.store(nullptr, std::memory_order_relaxed);  // xk-order: ditto
   tail_ = &head_;
   ntasks_.store(0, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  // xk-order: only the owner writes the epoch, so a load+store bump needs
+  // no locked read-modify-write; scanners read it inside a scan window the
+  // Dekker handshake orders after this reset.
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
   steal_claimed_.store(false, std::memory_order_relaxed);  // xk-order: ditto
   exec_chunk_ = &head_;
   exec_index_ = 0;

@@ -52,7 +52,7 @@ class Frame {
     }
     tail_->tasks[slot] = t;
     ntasks_.store(n + 1, std::memory_order_release);
-    if (t->heap_owned) has_heap_tasks_ = true;
+    if (t->heap_owned()) has_heap_tasks_ = true;
   }
 
   std::uint32_t size_acquire() const {
@@ -65,7 +65,11 @@ class Frame {
   /// Owner-only: true while no task was ever published in this incarnation.
   /// A pristine frame is invisible to thieves in every way that matters (a
   /// scanner reads size 0 and stops), which lets Worker::pop_frame skip the
-  /// seq_cst Dekker round when popping it.
+  /// seq_cst Dekker round when popping it. Nothing but the arena can be
+  /// dirty in a pristine frame (the chunk list, cursors, ready list and
+  /// flags only change once a task is published), so its pop rewinds the
+  /// arena and skips reset() — and with it the epoch bump: the epoch keys
+  /// scan caches of *published* tasks, and a pristine incarnation has none.
   bool pristine() const { return ntasks_.load(std::memory_order_relaxed) == 0; }
 
   /// Sequential reader over published descriptors; valid for indexes below a
@@ -96,13 +100,6 @@ class Frame {
     std::uint32_t index_;
     std::uint32_t slot_;
   };
-
-  /// Owner-only random access (used on the FIFO execution path).
-  Task* task_at(std::uint32_t i) {
-    Iterator it(*this);
-    it.seek(i);
-    return it.get();
-  }
 
   /// Incarnation counter: bumped by reset() so combiner-side scan caches
   /// (FrameScanState in worker.hpp) self-invalidate when a frame is

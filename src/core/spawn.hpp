@@ -16,6 +16,7 @@
 // (the common case) need nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <tuple>
 #include <type_traits>
@@ -25,6 +26,7 @@
 #include "core/runtime.hpp"
 #include "core/task.hpp"
 #include "core/worker.hpp"
+#include "support/cache.hpp"
 
 namespace xk {
 
@@ -161,6 +163,11 @@ template <typename A>
 inline constexpr bool is_wrapper_v = wrapper_traits<std::decay_t<A>>::is_wrapper;
 
 template <typename A>
+inline constexpr bool is_cw_v = false;
+template <typename T>
+inline constexpr bool is_cw_v<CwArg<T>> = true;
+
+template <typename A>
 using unwrapped_t = typename wrapper_traits<std::decay_t<A>>::value_type;
 
 template <typename A>
@@ -199,17 +206,32 @@ void fill_accesses(Access* out, Block& blk, std::index_sequence<I...>,
     using W = wrapper_traits<std::decay_t<decltype(a)>>;
     if constexpr (W::is_wrapper) {
       constexpr std::size_t i = decltype(index)::value;
-      Access& acc = out[n++];
-      acc.region = a.region;
-      acc.mode = W::mode;
-      acc.arg_index = static_cast<std::uint32_t>(i);
-      acc.arg_offset = static_cast<std::uint32_t>(
-          reinterpret_cast<const char*>(&std::get<i>(blk.args)) -
-          reinterpret_cast<const char*>(&blk));
+      new (out + n++) Access{
+          a.region, W::mode, static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(
+              reinterpret_cast<const char*>(&std::get<i>(blk.args)) -
+              reinterpret_cast<const char*>(&blk))};
     }
   };
   (one(std::integral_constant<std::size_t, I>{}, args), ...);
 }
+
+/// Layout of one task record, bump-allocated in a single arena call (by
+/// xk::spawn and by the QUARK front end): the descriptor, the argument
+/// block right behind it, then the access array.
+template <typename Block>
+struct SpawnRecord {
+  static constexpr std::size_t kBlockOffset =
+      round_up(sizeof(Task), alignof(Block));
+  static constexpr std::size_t kAccessOffset =
+      round_up(kBlockOffset + sizeof(Block), alignof(Access));
+  static constexpr std::size_t kAlign =
+      std::max({alignof(Task), alignof(Block), alignof(Access)});
+  static constexpr std::size_t bytes(std::size_t nacc) {
+    return nacc == 0 ? kBlockOffset + sizeof(Block)
+                     : kAccessOffset + nacc * sizeof(Access);
+  }
+};
 
 }  // namespace detail
 
@@ -226,7 +248,8 @@ void spawn(F&& fn, Args&&... args) {
   using Fd = std::decay_t<F>;
   using Tuple = std::tuple<detail::unwrapped_t<Args>...>;
   Worker* w = this_worker();
-  if (w == nullptr || w->depth_relaxed() == 0) {
+  const std::uint32_t depth = w != nullptr ? w->depth_relaxed() : 0;
+  if (depth == 0) {
     Fd f(std::forward<F>(fn));
     std::apply(f, Tuple(detail::unwrap(std::forward<Args>(args))...));
     return;
@@ -234,23 +257,31 @@ void spawn(F&& fn, Args&&... args) {
   using Block = detail::SpawnBlock<Fd, Tuple>;
   constexpr std::size_t nacc =
       (std::size_t{0} + ... + (detail::is_wrapper_v<Args> ? 1u : 0u));
+  constexpr bool has_cw = (false || ... || detail::is_cw_v<std::decay_t<Args>>);
+  using Record = detail::SpawnRecord<Block>;
 
-  auto* t = new (w->frame_alloc(sizeof(Task), alignof(Task))) Task();
-  auto* blk = new (w->frame_alloc(sizeof(Block), alignof(Block)))
+  // One bump for the whole record. If the argument block's construction
+  // throws, nothing was published and the frame's pop rewinds the arena
+  // over the abandoned record (a frame with nothing else in it stays
+  // pristine and pops on the fast path).
+  Frame& f = w->frame_at(depth - 1);
+  auto* rec =
+      static_cast<char*>(f.arena.allocate(Record::bytes(nacc), Record::kAlign));
+  auto* blk = new (rec + Record::kBlockOffset)
       Block{Fd(std::forward<F>(fn)),
             Tuple(detail::unwrap(std::forward<Args>(args))...)};
+  auto* t = new (rec) Task();
   if constexpr (nacc > 0) {
-    auto* acc = static_cast<Access*>(
-        w->frame_alloc(sizeof(Access) * nacc, alignof(Access)));
-    for (std::size_t i = 0; i < nacc; ++i) new (acc + i) Access();
+    auto* acc = reinterpret_cast<Access*>(rec + Record::kAccessOffset);
     detail::fill_accesses(acc, *blk, std::index_sequence_for<Args...>{},
                           args...);
     t->accesses = acc;
     t->naccesses = static_cast<std::uint32_t>(nacc);
+    t->has_cw = has_cw;
   }
   t->body = &detail::spawn_trampoline<Fd, Tuple>;
   t->args = blk;
-  w->push_task(t);
+  w->push_task(f, t);
 }
 
 /// Executes the current frame's pending children in FIFO order and waits for

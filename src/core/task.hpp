@@ -41,6 +41,7 @@
 
 #include "check/check.hpp"
 #include "core/access.hpp"
+#include "support/cache.hpp"
 
 namespace xk {
 
@@ -53,7 +54,9 @@ using TaskBody = void (*)(void* args, Worker& worker);
 
 /// Splitter for adaptive tasks (§II-D): invoked by the elected combiner, at
 /// most one concurrently with the running body, to extract work on demand.
-using TaskSplitter = void (*)(void* adaptive_state, SplitContext& ctx);
+/// Receives the task's own argument block (`Task::args`): the body and the
+/// splitter share the adaptive state through it.
+using TaskSplitter = void (*)(void* args, SplitContext& ctx);
 
 enum class TaskState : std::uint8_t {
   kInit = 0,
@@ -111,35 +114,43 @@ struct RenameRecord {
   RenameRecord* next = nullptr;
 };
 
+/// At most one cache line. Every spawn zero-initialises a descriptor; at 64
+/// bytes that is a handful of vector stores, where GCC emits `rep stos` for
+/// a larger struct. xk::spawn places the argument block and the access
+/// array right behind it in the same arena record.
 struct Task {
   std::atomic<TaskState> state{TaskState::kInit};
-  /// Set when the descriptor was heap-allocated by a splitter reply rather
-  /// than arena-allocated in a frame; the hosting frame deletes it at reset
-  /// through heap_deleter(heap_box).
-  bool heap_owned = false;
-  void (*heap_deleter)(void*) = nullptr;
-  void* heap_box = nullptr;
+  /// Some access is a cumulative write: the body runs under the per-region
+  /// CW guards (set at creation, immutable afterwards).
+  bool has_cw = false;
+  /// Dynamic on/off switch of the splitter (see below).
+  std::atomic<bool> splitter_armed{false};
+  std::uint32_t naccesses = 0;
 
   TaskBody body = nullptr;
   void* args = nullptr;
 
-  /// Declared accesses (arena-allocated array), empty for pure fork-join.
+  /// Declared accesses (naccesses entries), null for pure fork-join.
   const Access* accesses = nullptr;
-  std::uint32_t naccesses = 0;
 
-  /// Adaptive-task hooks (§II-D); null for regular tasks. Both fields are
-  /// set before the descriptor is published (spawn time) and are immutable
-  /// afterwards; `splitter_armed` is the dynamic on/off switch the body may
-  /// clear when no divisible work remains.
+  /// Adaptive-task hook (§II-D), null for regular tasks; it receives `args`.
+  /// Set before the descriptor is published (spawn time) and immutable
+  /// afterwards; `splitter_armed` is what the body clears when no divisible
+  /// work remains.
   TaskSplitter splitter = nullptr;
-  void* adaptive_state = nullptr;
-  std::atomic<bool> splitter_armed{false};
+
+  /// Non-null exactly for descriptors heap-allocated by a splitter reply
+  /// rather than arena-allocated in a frame: the hosting frame deletes the
+  /// task through it at reset.
+  void (*heap_deleter)(Task*) = nullptr;
 
   /// Renamed writes awaiting commit, owner-ordered (see RenameRecord).
   RenameRecord* renames = nullptr;
 
   /// First exception thrown by the body, adopted by the parent at its sync.
   std::exception_ptr exception;
+
+  bool heap_owned() const { return heap_deleter != nullptr; }
 
   TaskState load_state(std::memory_order order = std::memory_order_acquire) const {
     return state.load(order);
@@ -166,5 +177,6 @@ struct Task {
            splitter_armed.load(std::memory_order_acquire);
   }
 };
+static_assert(sizeof(Task) <= kCacheLine, "the task descriptor is one line");
 
 }  // namespace xk

@@ -18,7 +18,6 @@
 namespace xk {
 
 namespace {
-thread_local Worker* tls_worker = nullptr;
 
 /// Checked-build guard for the plain (non-CAS) task state stores: loads
 /// the prior state and asserts the edge against the claim/commit table
@@ -36,12 +35,6 @@ inline void check_task_store(Task* t, TaskState next) {
   (void)next;
 }
 }  // namespace
-
-Worker* this_worker() { return tls_worker; }
-
-namespace detail {
-void set_this_worker(Worker* w) { tls_worker = w; }
-}  // namespace detail
 
 Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
     : rt_(rt),
@@ -90,60 +83,19 @@ Worker::~Worker() = default;
 // Frame stack: owner push / Dekker-protected pop (see worker.hpp).
 // ---------------------------------------------------------------------------
 
-Frame& Worker::push_frame() {
-  const std::uint32_t d = depth_.load(std::memory_order_relaxed);
-  if (d >= kMaxDepth) throw std::runtime_error("xk: frame stack overflow");
-  Frame& f = frames_[d];
-  // Release, not seq_cst: publishing a *larger* depth needs no Dekker
-  // round — a combiner that misses the new frame simply does not scan it,
-  // and one that sees it acquires the owner's prior writes (including the
-  // frame's last reset) through this store. Only the shrinking store in
-  // pop_frame arbitrates against scanners. This removes a full fence from
-  // the per-task execution path (run_task pushes a frame per task).
-  depth_.store(d + 1, std::memory_order_release);
-  // Occupancy hint: publish "has work" only on the 0->1 transition (once
-  // per stolen reply / section root, not per task), so the board line the
-  // victim draw reads stays read-mostly. Published after the depth store:
-  // a thief that sees the bit and probes finds the frame already there.
-  if (d == 0) {
-    const unsigned folds = starvation_->publish_occupied(id_, true);
-    stats_->quiesce_folds += folds;
-    if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, 1);
-  }
-  return f;
+void Worker::frame_overflow() {
+  throw std::runtime_error("xk: frame stack overflow");
 }
 
-void Worker::pop_frame() {
-  const std::uint32_t d = depth_.load(std::memory_order_relaxed);
-  Frame& f = frames_[d - 1];
-  if (f.pristine()) {
-    // Fast path for pristine leaf frames (never pushed to in this
-    // incarnation): a combiner that races with this pop can only read the
-    // frame's atomics (size 0 both before and after the reset, epoch,
-    // null ready_list) — it never dereferences chunk or arena memory,
-    // because no task was ever published. So the store-buffering round the
-    // seq_cst Dekker pair exists for has nothing to protect, and the
-    // shrink can be a plain release (ordering the pop before this stack
-    // slot's next push_frame publication). A scanner's cached entry list
-    // for this frame is necessarily empty, so even a stale-epoch read
-    // cannot resurrect dangling pointers — worst case is one spurious
-    // cache rebuild. run_task pushes a frame per executed task, so every
-    // leaf task (the bulk of a fork-join tree) skips a full fence here —
-    // the ROADMAP-named spawn-path cost.
-    assert(f.ready_list.load(std::memory_order_relaxed) == nullptr);
-    assert(!f.steal_claimed());
-    depth_.store(d - 1, std::memory_order_release);
-    f.reset();
-    // 1->0 transition: clear the occupancy bit and fold the change up the
-    // board's domain/root counts. On worker 0's root-frame pop this is the
-    // quiescence edge that fires the section-end wake (Runtime::end).
-    if (d == 1) {
-      const unsigned folds = starvation_->publish_occupied(id_, false);
-      stats_->quiesce_folds += folds;
-      if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, 0);
-    }
-    return;
-  }
+void Worker::publish_occupancy(bool occupied) {
+  // Published after the depth store on push: a thief that sees the bit and
+  // probes finds the frame already there.
+  const unsigned folds = starvation_->publish_occupied(id_, occupied);
+  stats_->quiesce_folds += folds;
+  if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, occupied ? 1 : 0);
+}
+
+void Worker::pop_frame_dekker(Frame& f, std::uint32_t d) {
   // seq_cst on both sides of the Dekker handshake (store-buffering litmus):
   // a combiner sets scanning_ (seq_cst) before reading depth_ (seq_cst).
   // Either it sees the decremented depth and never touches this frame, or
@@ -169,11 +121,7 @@ void Worker::pop_frame() {
     }
   }
   f.reset();
-  if (d == 1) {
-    const unsigned folds = starvation_->publish_occupied(id_, false);
-    stats_->quiesce_folds += folds;
-    if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, 0);
-  }
+  if (d == 1) publish_occupancy(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +189,7 @@ void Worker::run_task(Task* t, Frame* src, bool stolen) {
   const std::uint64_t span_t0 = obs::span_begin();
   push_frame();
   try {
-    if (t->naccesses != 0) {
+    if (t->has_cw) [[unlikely]] {
       CwBodyGuard guard(rt_, *t);
       t->body(t->args, *this);
     } else {
@@ -540,7 +488,7 @@ bool Worker::try_steal_once() {
       for (std::uint32_t i = 0; i < n; ++i) {
         Task* t = slot.reply[i];
         Frame* fr = slot.reply_frame[i];
-        if (t->heap_owned && fr == nullptr) {
+        if (t->heap_owned() && fr == nullptr) {
           // Fresh splitter reply: unclaimed, exclusively ours.
           tasks[won] = t;
           frames[won] = nullptr;
@@ -612,7 +560,7 @@ bool Worker::try_steal_once() {
 }
 
 void Worker::execute_reply(Task* t, Frame* src) {
-  if (t->heap_owned && src == nullptr) {
+  if (t->heap_owned() && src == nullptr) {
     // Splitter-produced task (fresh, unclaimed, owned by no frame yet):
     // host it in a fresh frame of this stack so it is visible to further
     // steals/splits, then run it like a local child. A heap task WITH a
@@ -1115,7 +1063,7 @@ void Worker::combine_on(Worker& victim) {
       }
       SplitContext sc(rest.data(), rest.size());
       stats_->splitter_calls++;
-      t->splitter(t->adaptive_state, sc);
+      t->splitter(t->args, sc);
       served += sc.replied();
     }
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -36,14 +37,16 @@ namespace xk {
 class Runtime;
 class Worker;
 
-/// Returns the worker bound to the calling thread, or nullptr outside a
-/// runtime section.
-Worker* this_worker();
-
 namespace detail {
+inline constinit thread_local Worker* tls_worker = nullptr;
+
 /// Binds/unbinds the calling thread's worker (Runtime internal).
-void set_this_worker(Worker* w);
+inline void set_this_worker(Worker* w) { tls_worker = w; }
 }  // namespace detail
+
+/// Returns the worker bound to the calling thread, or nullptr outside a
+/// runtime section. One TLS load, inlined into every spawn and sync.
+inline Worker* this_worker() { return detail::tls_worker; }
 
 /// A steal request slot: thief `i` posts into victim's box slot `i`; the
 /// combiner answers every posted slot before releasing the steal mutex.
@@ -173,8 +176,12 @@ class Worker {
 
   /// Spawns `t` into the current frame. Fast path of §II-B. The parked-peer
   /// probe costs one load of a read-mostly line when nobody sleeps.
-  void push_task(Task* t) {
-    current_frame().push_task(t);
+  void push_task(Task* t) { push_task(current_frame(), t); }
+
+  /// Same, into `f`, which must be the current frame (callers that already
+  /// looked it up for the allocation skip a second depth load).
+  void push_task(Frame& f, Task* t) {
+    f.push_task(t);
     stats_->tasks_spawned++;
     if (work_parker_->has_waiters()) work_parker_->notify_one();
   }
@@ -295,11 +302,59 @@ class Worker {
 
   // ---- frame stack management (owner only) ------------------------------
 
-  Frame& push_frame();
-  void pop_frame();
+  /// Pushes a frame (one per executed task). Release, not seq_cst:
+  /// publishing a *larger* depth needs no Dekker round — a combiner that
+  /// misses the new frame simply does not scan it, and one that sees it
+  /// acquires the owner's prior writes (including the frame's last reset)
+  /// through this store. Only the shrinking store in pop_frame arbitrates
+  /// against scanners.
+  Frame& push_frame() {
+    const std::uint32_t d = depth_.load(std::memory_order_relaxed);
+    if (d >= kMaxDepth) [[unlikely]] frame_overflow();
+    depth_.store(d + 1, std::memory_order_release);
+    if (d == 0) [[unlikely]] publish_occupancy(true);
+    return frames_[d];
+  }
+
+  /// Pops the current frame. Inline fast path for pristine frames (never
+  /// pushed to in this incarnation — every leaf task's frame): a combiner
+  /// that races with this pop can only read the frame's atomics (size 0
+  /// both before and after, epoch, null ready_list) — it never dereferences
+  /// chunk or arena memory, because no task was ever published. So the
+  /// store-buffering round the seq_cst Dekker pair exists for has nothing
+  /// to protect: the shrink is a plain release (ordering the pop before
+  /// this stack slot's next push_frame publication) and only the arena
+  /// needs rewinding (see Frame::pristine). A scanner's cached entry list
+  /// for this frame is necessarily empty, so nothing stale survives.
+  void pop_frame() {
+    const std::uint32_t d = depth_.load(std::memory_order_relaxed);
+    Frame& f = frames_[d - 1];
+    if (!f.pristine()) [[unlikely]] {
+      pop_frame_dekker(f, d);
+      return;
+    }
+    assert(f.ready_list.load(std::memory_order_relaxed) == nullptr);
+    assert(!f.steal_claimed());
+    depth_.store(d - 1, std::memory_order_release);
+    f.arena.reset();
+    if (d == 1) [[unlikely]] publish_occupancy(false);
+  }
 
  private:
   friend class Runtime;
+
+  [[noreturn]] static void frame_overflow();
+
+  /// Occupancy hint on the 0<->1 depth transitions: publishes "has work"
+  /// (once per stolen reply / section root, not per task, so the board
+  /// line the victim draw reads stays read-mostly) and folds the change up
+  /// the board's domain/root counts. On worker 0's root-frame pop this is
+  /// the quiescence edge that fires the section-end wake (Runtime::end).
+  void publish_occupancy(bool occupied);
+
+  /// Non-pristine pop: the seq_cst Dekker round against scanners, the
+  /// in-flight reply drain, then the full Frame::reset.
+  void pop_frame_dekker(Frame& f, std::uint32_t d);
 
   /// Two-level victim draw over victim_order_: while local_fails_ has not
   /// exhausted steal_local_tries_ — and the starvation board does not

@@ -4,6 +4,13 @@
 
 namespace xk::linalg {
 
+// The four Cholesky kernels start on a 64-byte boundary. Their inner loops
+// are short enough that where they sit relative to the front end's fetch
+// windows decides their speed: with GCC 12 -O3 on a 4-vCPU Xeon VM, the
+// same gemm_nt code ran the sequential 1024x1024 factorization in ~50 ms at
+// one link offset and ~90 ms at another. Pinning the alignment keeps a
+// code-size change anywhere else in the binary from moving them.
+[[gnu::aligned(64)]]
 int potrf_lower(int n, double* a, int lda) {
   for (int j = 0; j < n; ++j) {
     double d = a[j + j * lda];
@@ -26,6 +33,7 @@ int potrf_lower(int n, double* a, int lda) {
   return 0;
 }
 
+[[gnu::aligned(64)]]
 void trsm_right_lower_trans(int m, int n, const double* l, int ldl, double* b,
                             int ldb) {
   // Solve X * L^T = B column by column: X[:,j] depends on X[:,k<j].
@@ -43,6 +51,7 @@ void trsm_right_lower_trans(int m, int n, const double* l, int ldl, double* b,
   }
 }
 
+[[gnu::aligned(64)]]
 void syrk_lower(int n, int k, const double* a, int lda, double* c, int ldc) {
   for (int j = 0; j < n; ++j) {
     for (int l = 0; l < k; ++l) {
@@ -55,6 +64,7 @@ void syrk_lower(int n, int k, const double* a, int lda, double* c, int ldc) {
   }
 }
 
+[[gnu::aligned(64)]]
 void gemm_nt(int m, int n, int k, const double* a, int lda, const double* b,
              int ldb, double* c, int ldc) {
   for (int j = 0; j < n; ++j) {

@@ -148,37 +148,36 @@ unsigned long long QUARK_Insert_Task(Quark* quark, void (*function)(Quark*),
     assert(w != nullptr && w->depth_relaxed() > 0 &&
            "QUARK_Insert_Task must run on the QUARK_New thread");
     // Count dependency-carrying arguments, then build the descriptor, the
-    // argument block and the access array in the frame arena.
+    // argument block and the access array in one frame-arena record, laid
+    // out as xk::spawn lays out its own.
     std::uint32_t nacc = 0;
     for (const QuarkArg& a : packed.args) {
       if (mode_for(a.flags) != xk::AccessMode::kNone) ++nacc;
     }
-    auto* t = new (w->frame_alloc(sizeof(xk::Task), alignof(xk::Task)))
-        xk::Task();
-    auto* blk = new (w->frame_alloc(sizeof(QuarkTaskArgs),
-                                    alignof(QuarkTaskArgs)))
-        QuarkTaskArgs(std::move(packed));
+    using Record = xk::detail::SpawnRecord<QuarkTaskArgs>;
+    xk::Frame& f = w->current_frame();
+    auto* rec = static_cast<char*>(
+        f.arena.allocate(Record::bytes(nacc), Record::kAlign));
+    auto* blk =
+        new (rec + Record::kBlockOffset) QuarkTaskArgs(std::move(packed));
+    auto* t = new (rec) xk::Task();
     if (nacc > 0) {
-      auto* acc = static_cast<xk::Access*>(
-          w->frame_alloc(sizeof(xk::Access) * nacc, alignof(xk::Access)));
+      auto* acc = reinterpret_cast<xk::Access*>(rec + Record::kAccessOffset);
       std::uint32_t k = 0;
       for (std::uint32_t i = 0; i < blk->args.size(); ++i) {
         const QuarkArg& a = blk->args[i];
         const xk::AccessMode mode = mode_for(a.flags);
         if (mode == xk::AccessMode::kNone) continue;
-        new (acc + k) xk::Access();
-        acc[k].region = xk::MemRegion::contiguous(a.ptr, a.size);
-        acc[k].mode = mode;
-        acc[k].arg_index = i;
-        acc[k].arg_offset = xk::kNoArgOffset;  // pointers live in a vector
-        ++k;
+        // Pointers live in a vector: no arg offset, never renamed.
+        new (acc + k++) xk::Access{xk::MemRegion::contiguous(a.ptr, a.size),
+                                   mode, i, xk::kNoArgOffset};
       }
       t->accesses = acc;
       t->naccesses = nacc;
     }
     t->body = &xk_quark_trampoline;
     t->args = blk;
-    w->push_task(t);
+    w->push_task(f, t);
   } else {
     // Central backend: QUARK's own model — dependencies resolved at
     // insertion, one global ready list.

@@ -35,8 +35,9 @@ void counter_loop(CounterWork& w) {
   }
 }
 
-void counter_splitter(void* state, xk::SplitContext& sc) {
-  auto* w = static_cast<CounterWork*>(state);
+void counter_splitter(void* args, xk::SplitContext& sc) {
+  // The splitter receives the task's own argument block.
+  auto* w = static_cast<CounterWork*>(args);
   // Track the paper's invariant: at most one splitter runs concurrently on
   // a given task (the victim's steal mutex enforces it).
   const int conc = w->splitter_concurrency.fetch_add(1) + 1;
@@ -68,7 +69,7 @@ TEST(Adaptive, CustomSplitterCompletesAllWork) {
       counter_loop(*static_cast<CounterWork*>(a));
     };
     t->args = &w;
-    xk::arm_splitter(*t, &counter_splitter, &w);
+    xk::arm_splitter(*t, &counter_splitter);
     self->push_task(t);
     xk::sync();
     self->steal_until([&] {
@@ -108,12 +109,9 @@ TEST(Adaptive, DisarmedTaskIsNotSplit) {
       counter_loop(*c->w);
     };
     t->args = ctx;
-    xk::arm_splitter(
-        *t,
-        [](void* a, xk::SplitContext&) {
-          static_cast<Ctx*>(a)->splits->fetch_add(1);
-        },
-        ctx);
+    xk::arm_splitter(*t, [](void* a, xk::SplitContext&) {
+      static_cast<Ctx*>(a)->splits->fetch_add(1);
+    });
     // Keep it disarmed from the start for determinism of this test.
     t->splitter_armed.store(false, std::memory_order_release);
     self->push_task(t);
@@ -140,7 +138,8 @@ TEST(Adaptive, HeapTaskLifecycle) {
   {
     xk::Task* t = xk::make_heap_task(Probe{});
     EXPECT_GE(live.load(), 1);
-    t->heap_deleter(t->heap_box);
+    EXPECT_TRUE(t->heap_owned());
+    t->heap_deleter(t);
   }
   EXPECT_EQ(live.load(), 0);
 }
@@ -161,7 +160,7 @@ TEST(Adaptive, SplitContextRespectsCapacity) {
   for (auto& s : slots) {
     ASSERT_EQ(s.status.load(), xk::StealRequest::kServed);
     ASSERT_EQ(s.nreplies, 1u);
-    s.reply[0]->heap_deleter(s.reply[0]->heap_box);
+    s.reply[0]->heap_deleter(s.reply[0]);
   }
 }
 

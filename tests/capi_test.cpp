@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/capi.h"
+#include "core/xkaapi.hpp"
 
 namespace {
 
@@ -48,6 +49,46 @@ TEST(CApi, DataflowChain) {
   }
   EXPECT_EQ(kaapic_sync(), 0);
   EXPECT_DOUBLE_EQ(value, 1024.0);
+  ASSERT_EQ(kaapic_finalize(), 0);
+}
+
+// Cumulative-write bodies on one region: counted while inside, so any
+// overlap of two bodies shows as a second occupant.
+struct CwProbe {
+  std::atomic<int> inside{0};
+  std::atomic<int> overlaps{0};
+  long total = 0;  // plain: only serialized bodies may touch it
+};
+CwProbe g_cw;
+
+void cw_body(void* p) {
+  if (g_cw.inside.fetch_add(1) != 0) g_cw.overlaps.fetch_add(1);
+  volatile int spin = 0;
+  for (int i = 0; i < 2000; ++i) spin = spin + i;
+  *static_cast<long*>(p) += 1;
+  g_cw.inside.fetch_sub(1);
+}
+
+TEST(CApi, CumulativeWriteBodiesSerializeAcrossFrontEnds) {
+  // CW tasks on one region are independent in the dependence graph, so
+  // thieves may run them concurrently; the runtime must still serialize the
+  // bodies whether the task came from kaapic_spawn_1 or from xk::cw.
+  ASSERT_EQ(kaapic_init(4), 0);
+  g_cw.overlaps.store(0);
+  g_cw.total = 0;
+  constexpr int kTasks = 400;
+  for (int i = 0; i < kTasks; ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(kaapic_spawn_1(cw_body, &g_cw.total, sizeof(g_cw.total),
+                               KAAPIC_MODE_CW),
+                0);
+    } else {
+      xk::spawn([](long* t) { cw_body(t); }, xk::cw(&g_cw.total));
+    }
+  }
+  EXPECT_EQ(kaapic_sync(), 0);
+  EXPECT_EQ(g_cw.overlaps.load(), 0);
+  EXPECT_EQ(g_cw.total, kTasks);
   ASSERT_EQ(kaapic_finalize(), 0);
 }
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "core/xkaapi.hpp"
@@ -150,11 +151,15 @@ TEST(Dataflow, ScratchDoesNotOrder) {
 // exactly the sequential result, for any worker count / feature flags.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and would give the
+// same case a different name from one test discovery to the next.
 struct DagParams {
   unsigned workers;
-  bool renaming;
+  unsigned renaming;  // 0 or 1; a bool here would leave 3 padding bytes
   std::size_t readylist_threshold;
 };
+static_assert(std::has_unique_object_representations_v<DagParams>);
 
 class RandomDagTest : public ::testing::TestWithParam<DagParams> {};
 
@@ -168,7 +173,7 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 TEST_P(RandomDagTest, MatchesSequentialExecution) {
   const DagParams p = GetParam();
   xk::Config c = cfg(p.workers);
-  c.renaming = p.renaming;
+  c.renaming = p.renaming != 0;
   c.ready_list_threshold = p.readylist_threshold;
 
   constexpr int kVars = 12;
@@ -225,10 +230,10 @@ TEST_P(RandomDagTest, MatchesSequentialExecution) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RandomDagTest,
-    ::testing::Values(DagParams{1, false, 256}, DagParams{2, false, 256},
-                      DagParams{4, false, 256}, DagParams{4, true, 256},
-                      DagParams{4, false, 8},   // force ready-list attach
-                      DagParams{8, true, 8}));
+    ::testing::Values(DagParams{1, 0, 256}, DagParams{2, 0, 256},
+                      DagParams{4, 0, 256}, DagParams{4, 1, 256},
+                      DagParams{4, 0, 8},   // force ready-list attach
+                      DagParams{8, 1, 8}));
 
 // ---------------------------------------------------------------------------
 // Renaming: WAW chains over the same variable must still produce the last

@@ -3,6 +3,7 @@
 // the steal-request slot protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -64,6 +65,42 @@ TEST(Arena, ResetRecyclesMemory) {
   EXPECT_EQ(arena.bytes_allocated(), footprint);
 }
 
+TEST(Arena, ChainSurvivesManyGrowsResetAndRegrow) {
+  // 10 KiB allocations never share a 16 KiB block, so each one grows the
+  // chain by a block. A reset must hand every grown block to the spare
+  // list, and the regrow must take them all back before allocating anew.
+  xk::Arena arena;
+  constexpr int kBlocks = 200;
+  constexpr std::size_t kBytes = 10 * 1024;
+  auto fill = [&] {
+    std::vector<unsigned char*> ptrs;
+    for (int i = 0; i < kBlocks; ++i) {
+      auto* p = static_cast<unsigned char*>(arena.allocate(kBytes, 64));
+      std::memset(p, i, kBytes);
+      ptrs.push_back(p);
+    }
+    for (int i = 0; i < kBlocks; ++i) {
+      const auto v = static_cast<unsigned char>(i);
+      EXPECT_EQ(ptrs[static_cast<std::size_t>(i)][0], v) << i;
+      EXPECT_EQ(ptrs[static_cast<std::size_t>(i)][kBytes - 1], v) << i;
+    }
+    std::sort(ptrs.begin(), ptrs.end());
+    EXPECT_EQ(std::adjacent_find(ptrs.begin(), ptrs.end()), ptrs.end());
+    return ptrs;
+  };
+  const std::vector<unsigned char*> first = fill();
+  const std::size_t footprint = arena.bytes_allocated();
+  arena.reset();
+  EXPECT_EQ(fill(), first);  // the same blocks, every one of them reused
+  EXPECT_EQ(arena.bytes_allocated(), footprint);
+  arena.reset();
+  // A request no spare can hold appends a fresh block after the reused ones.
+  fill();
+  auto* big = static_cast<unsigned char*>(arena.allocate(64 * 1024, 64));
+  std::memset(big, 0xcd, 64 * 1024);
+  EXPECT_GT(arena.bytes_allocated(), footprint);
+}
+
 xk::Task* make_task(xk::Arena& arena) {
   auto* t = new (arena.allocate(sizeof(xk::Task), alignof(xk::Task)))
       xk::Task();
@@ -99,7 +136,9 @@ TEST(FrameTest, IteratorSeek) {
   xk::Frame::Iterator it(frame);
   it.seek(xk::Frame::kChunkTasks + 3);
   EXPECT_EQ(it.get(), tasks[xk::Frame::kChunkTasks + 3]);
-  EXPECT_EQ(frame.task_at(n - 1), tasks[n - 1]);
+  it.seek(n - 1);
+  EXPECT_EQ(it.get(), tasks[n - 1]);
+  EXPECT_EQ(it.index(), n - 1);
 }
 
 TEST(FrameTest, ResetClearsEverythingAndBumpsEpoch) {

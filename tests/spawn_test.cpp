@@ -2,6 +2,8 @@
 // passing, exceptions, stress under oversubscription.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -188,6 +190,50 @@ TEST(Spawn, ExceptionFromStolenTaskReachesParent) {
     xk::sync();
   }),
                std::logic_error);
+}
+
+// A closure whose copy always throws; big enough that an abandoned record
+// left behind per spawn would add up fast.
+struct ThrowingCopy {
+  std::array<char, 2048> pad{};
+  ThrowingCopy() = default;
+  ThrowingCopy(const ThrowingCopy&) { throw std::runtime_error("copy failed"); }
+  ThrowingCopy& operator=(const ThrowingCopy&) = delete;
+  void operator()() const {}
+};
+
+TEST(Spawn, ThrowingClosureCopyLeavesFrameUsable) {
+  // The closure is copied into the frame arena after the spawn record is
+  // allocated. When the copy throws, nothing is published: the frame stays
+  // pristine, its pop rewinds the arena over the abandoned record, and the
+  // same task can still spawn and sync.
+  xk::Runtime rt(cfg(1));
+  constexpr int kTasks = 1000;
+  std::atomic<int> caught{0}, ran{0};
+  std::size_t max_arena = 0;
+  rt.run([&] {
+    for (int i = 0; i < kTasks; ++i) {
+      xk::spawn([&, i] {
+        const ThrowingCopy thrower;
+        EXPECT_THROW(xk::spawn(thrower), std::runtime_error);
+        caught.fetch_add(1);
+        xk::Frame& f = xk::this_worker()->current_frame();
+        EXPECT_TRUE(f.pristine());
+        max_arena = std::max(max_arena, f.arena.bytes_allocated());
+        if (i % 100 == 99) {
+          xk::spawn([&ran] { ran.fetch_add(1); });
+          xk::sync();
+        }
+      });
+      xk::sync();
+    }
+  });
+  EXPECT_EQ(caught.load(), kTasks);
+  EXPECT_EQ(ran.load(), kTasks / 100);
+  // Every task runs in the same recycled frame. Without the rewind, the
+  // abandoned 2 KiB records of the pristine pops in between two full
+  // resets would pile up to ~200 KiB instead of one block.
+  EXPECT_LE(max_arena, std::size_t{64 * 1024});
 }
 
 TEST(Spawn, OversubscriptionStress) {
