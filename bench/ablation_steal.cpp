@@ -67,13 +67,15 @@ int main() {
   // The four historical variants pin steal_adaptive off so their series
   // stay comparable across the PR trajectory (fixed XK_STEAL_BATCH deals,
   // the pre-adaptive protocol); the fifth turns the feedback-sized
-  // steal-one/steal-half protocol on over the full configuration.
+  // steal-one/steal-half protocol on over the full configuration. The
+  // ready-list variants use the default attach threshold.
+  const std::size_t rl = xk::Config{}.ready_list_threshold;
   const Variant variants[] = {
-      {"full (agg+RL)", true, 256, false},
-      {"no-aggregation", false, 256, false},
+      {"full (agg+RL)", true, rl, false},
+      {"no-aggregation", false, rl, false},
       {"no-readylist", true, 0, false},
       {"neither", false, 0, false},
-      {"adaptive (agg+RL)", true, 256, true},
+      {"adaptive (agg+RL)", true, rl, true},
   };
 
   // Unrecorded process warmup: the first variant otherwise pays the cold

@@ -37,8 +37,10 @@ struct Config {
 
   /// Attach the ready-list accelerating structure to a frame once a steal
   /// traversal has scanned this many tasks without serving all requests.
-  /// 0 disables the ready list entirely.
-  std::size_t ready_list_threshold = 256;
+  /// 0 disables the ready list entirely. Kept small: until the list
+  /// attaches, every combiner round pays a readiness scan that grows with
+  /// the square of the frame's live prefix (docs/TUNING.md).
+  std::size_t ready_list_threshold = 16;
 
   /// Break WAR/WAW dependencies by renaming (redirecting a writer task to a
   /// runtime-owned buffer, committed in program order). Costs one copy per

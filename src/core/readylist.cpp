@@ -175,6 +175,7 @@ void ReadyList::reset_coverage_graph_held() {
   live_.clear();
   extend_ready_scratch_.clear();
   max_span_ = 0;
+  edges_ = 0;
   covered_count_ = 0;
   if (lockfree_) {
     // xk-order: the retired chain and the lock-free index point into the
@@ -277,14 +278,29 @@ void ReadyList::add_node_graph_held(Task* t) {
       continue;
     const std::uintptr_t lo = acc.region.lo();
     const std::uintptr_t hi = acc.region.hi();
+    // An exclusive contiguous access supersedes every conflicting interval
+    // it fully covers: any later access overlapping such an interval also
+    // overlaps this one, and so gets an edge from this task, which already
+    // waits for the covered one. Dropping the covered interval keeps the
+    // graph linear (N writes to one region make N-1 edges, not O(N^2)).
+    // Never for reads, for CW (CW peers do not conflict, so a later reader
+    // would lose its edge from the covered peer), for strided writers
+    // (their bounding interval is not their footprint) or for a partial
+    // cover (the uncovered part still needs the interval).
+    const bool supersedes =
+        (acc.mode == AccessMode::kWrite ||
+         acc.mode == AccessMode::kReadWrite) &&
+        acc.region.runs == 1;
     // Candidate predecessors: entries whose interval start is in
     // [lo - max_span_, hi). Anything starting earlier cannot reach lo.
     const std::uintptr_t from = lo > max_span_ ? lo - max_span_ : 0;
     for (auto itv = live_.lower_bound(from);
-         itv != live_.end() && itv->first < hi; ++itv) {
+         itv != live_.end() && itv->first < hi;) {
       const ChainEntry& e = itv->second;
-      if (e.node == node) continue;
-      if (!accesses_conflict(*e.acc, acc)) continue;
+      if (e.node == node || !accesses_conflict(*e.acc, acc)) {
+        ++itv;
+        continue;
+      }
       // Acquire: skipping the edge can make this node initially-ready and
       // publish it with NO predecessor decrement on its npred — so the
       // skip itself must carry the predecessor's data writes. In lockfree
@@ -293,22 +309,30 @@ void ReadyList::add_node_graph_held(Task* t) {
       // hands those writes to whichever popper later claims the node. In
       // split/global modes graph_mu_ already provides the edge and the
       // acquire is redundant (and free on x86).
-      if (e.node->completed.load(std::memory_order_acquire)) continue;
-      if (lockfree_) {
-        // The append must not race the predecessor's completion swapping
-        // its successor list out: take its edge spinlock and re-check.
-        // Either the edge lands before the swap (the completion will
-        // decrement it) or the completion is observed and no edge is
-        // counted — never an increment without a matching decrement.
-        edge_lock_acquire(e.node);
-        if (!e.node->completed.load(std::memory_order_relaxed)) {
+      if (!e.node->completed.load(std::memory_order_acquire)) {
+        if (lockfree_) {
+          // The append must not race the predecessor's completion swapping
+          // its successor list out: take its edge spinlock and re-check.
+          // Either the edge lands before the swap (the completion will
+          // decrement it) or the completion is observed and no edge is
+          // counted — never an increment without a matching decrement.
+          edge_lock_acquire(e.node);
+          if (!e.node->completed.load(std::memory_order_relaxed)) {
+            e.node->successors.push_back(node);
+            node->npred.fetch_add(1, std::memory_order_relaxed);
+            ++edges_;
+          }
+          edge_lock_release(e.node);
+        } else {
           e.node->successors.push_back(node);
           node->npred.fetch_add(1, std::memory_order_relaxed);
+          ++edges_;
         }
-        edge_lock_release(e.node);
+      }
+      if (supersedes && itv->first >= lo && e.acc->region.hi() <= hi) {
+        itv = retire_interval_graph_held(itv);
       } else {
-        e.node->successors.push_back(node);
-        node->npred.fetch_add(1, std::memory_order_relaxed);
+        ++itv;
       }
     }
   }
@@ -336,20 +360,54 @@ void ReadyList::add_node_graph_held(Task* t) {
     // predecessor already decremented (or none existed): this decrement
     // is the final one, and no concurrent completer can release the node
     // — the initially-ready decision is ours alone.
-    if (node->npred.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        t->load_state() == TaskState::kInit) {
-      extend_ready_scratch_.push_back(node);
+    if (node->npred.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      queue_or_watch_graph_held(node);
     }
     return;
   }
-  if (node->npred.load(std::memory_order_relaxed) == 0 &&
-      t->load_state() == TaskState::kInit) {
-    // Deferred to extend()'s one batched shard-lock acquisition. A claim
-    // landing between this check and the batched push just produces a
-    // queued-while-claimed entry — the same race the per-node push had,
-    // absorbed by the pop path's claim-race fold/watch machinery.
-    extend_ready_scratch_.push_back(node);
+  if (node->npred.load(std::memory_order_relaxed) == 0) {
+    queue_or_watch_graph_held(node);
   }
+}
+
+/// Initially-ready node: no predecessor completion will ever release it.
+/// Queued if still unclaimed — deferred to extend()'s one batched
+/// shard-lock acquisition; a claim landing between this check and the
+/// push just produces a queued-while-claimed entry, absorbed by the pop
+/// path's claim-race fold/watch machinery. A node claimed since
+/// add_node's first state check is watched instead: its claimer may
+/// terminate it without notifying, and with nothing queued and no
+/// predecessor left, only the watch sweep can fold that completion in
+/// (without it the node's successors were never released).
+void ReadyList::queue_or_watch_graph_held(Node* n) {
+  if (n->task->load_state() == TaskState::kInit) {
+    extend_ready_scratch_.push_back(n);
+  } else {
+    watch_graph_held(n);
+  }
+}
+
+/// Drops one live interval ahead of its owner's completion (the
+/// superseding-writer rule in add_node_graph_held). The owner's live_refs
+/// slot becomes a live_.end() tombstone rather than being erased: a
+/// lock-free completer reads live_refs.empty() without graph_mu_, so the
+/// vector must not change size. Both erase loops skip tombstones.
+ReadyList::LiveMap::iterator ReadyList::retire_interval_graph_held(
+    LiveMap::iterator itv) {
+  for (LiveMap::iterator& ref : itv->second.node->live_refs) {
+    if (ref == itv) {
+      ref = live_.end();
+      break;
+    }
+  }
+  return live_.erase(itv);
+}
+
+void ReadyList::erase_live_refs_graph_held(Node* n) {
+  for (auto itv : n->live_refs) {
+    if (itv != live_.end()) live_.erase(itv);
+  }
+  n->live_refs.clear();
 }
 
 void ReadyList::on_complete(Task* t, unsigned shard, WorkerStats* stats) {
@@ -404,8 +462,7 @@ std::size_t ReadyList::complete_node_graph_held(Node* n, unsigned shard) {
   // pop discards it, but its board contribution must not — phantom depth
   // would veto real starvation verdicts for the shard's domain.
   settle_queued(n);
-  for (auto itv : n->live_refs) live_.erase(itv);
-  n->live_refs.clear();
+  erase_live_refs_graph_held(n);
   std::size_t released = 0;
   if (!n->successors.empty()) {
     ShardGuard guard(shards_[shard], split_);
@@ -519,8 +576,7 @@ void ReadyList::drain_retired_graph_held() {
     XK_EXPECT(rl_retire_unsettled, n->queued.load(std::memory_order_relaxed) < 0,
               static_cast<std::uint64_t>(
                   n->queued.load(std::memory_order_relaxed)));
-    for (auto itv : n->live_refs) live_.erase(itv);
-    n->live_refs.clear();
+    erase_live_refs_graph_held(n);
     Node* next = n->retire_next;
     n->retire_next = nullptr;
     n = next;
@@ -659,9 +715,10 @@ std::size_t ReadyList::complete_node_lockfree(Node* n, unsigned shard,
   edge_lock_release(n);
   settle_queued(n);
   if (!n->live_refs.empty()) {
-    // live_refs is stable from here on: add_node finished writing it
-    // before the node became findable, and only the graph_mu_ drain —
-    // which this push gates — clears it.
+    // live_refs has a stable size from here on: add_node finished
+    // writing it before the node became findable, a superseding writer
+    // only overwrites slots with tombstones, and only the graph_mu_
+    // drain — which this push gates — clears it.
     Node* head = retire_head_.load(std::memory_order_relaxed);
     do {
       n->retire_next = head;
@@ -973,6 +1030,11 @@ bool ReadyList::sweep_watch_graph_held(unsigned shard) {
 std::size_t ReadyList::covered() const {
   std::lock_guard lock(graph_mu_);
   return covered_count_;
+}
+
+std::size_t ReadyList::edge_count() const {
+  std::lock_guard lock(graph_mu_);
+  return edges_;
 }
 
 std::size_t ReadyList::ready_size() const {

@@ -218,6 +218,8 @@ class ReadyList {
 
   /// Diagnostics for tests.
   std::size_t covered() const;
+  std::size_t edge_count() const;  ///< dependence edges ever added since
+                                   ///  the last coverage reset
   std::size_t ready_size() const;  ///< total queued over all shards (racy
                                    ///  under split locking: a relaxed read)
   std::size_t shard_ready_size(unsigned shard) const;  ///< deque length,
@@ -292,7 +294,9 @@ class ReadyList {
     Node* retire_next = nullptr;
     std::vector<Node*> successors;  ///< guarded by graph_mu_ (split/global)
                                     ///  or by edge_lock (lockfree)
-    std::vector<LiveMap::iterator> live_refs;  ///< guarded by graph_mu_
+    /// This node's intervals in live_, guarded by graph_mu_. A slot holds
+    /// live_.end() once a superseding writer dropped that interval early.
+    std::vector<LiveMap::iterator> live_refs;
   };
 
   struct ChainEntry {
@@ -347,6 +351,9 @@ class ReadyList {
   void check_epoch_graph_held();
   void check_epoch_pop_path();  // no locks held; takes graph_mu_ on mismatch
   void add_node_graph_held(Task* t);
+  void queue_or_watch_graph_held(Node* n);
+  LiveMap::iterator retire_interval_graph_held(LiveMap::iterator itv);
+  void erase_live_refs_graph_held(Node* n);
   std::size_t complete_node_graph_held(Node* n, unsigned shard);
   bool sweep_watch_graph_held(unsigned shard);
   void watch_graph_held(Node* n);
@@ -463,6 +470,7 @@ class ReadyList {
   // how far below lo() a candidate's start can be.
   LiveMap live_;
   std::uintptr_t max_span_ = 0;
+  std::size_t edges_ = 0;  ///< edge_count() diagnostic
 
   // Claimed-elsewhere nodes whose Term may race a notification (their
   // pre-Term load of frame.ready_list can miss the attach): watched in FIFO

@@ -303,6 +303,10 @@ void Worker::drain_current_frame() {
 }
 
 void Worker::wait_and_finalize(Task* t, Frame& f) {
+  TaskState s = t->load_state();
+  // Settled already: a thief finished it, or this worker ran it while it
+  // helped from the frame's ready list (help_from_ready_list).
+  if (s == TaskState::kTerm) return;
   // Reclaim: if the steal side claimed this descriptor but no thief has
   // started it (the reply may be parked at a busy or descheduled worker),
   // take it back and run it inline — this is exactly the task the drain is
@@ -311,7 +315,6 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
   // the claim CAS, so a reclaim could start the body while the combiner is
   // still rewriting the argument pointers; without renaming the descriptor
   // is immutable once published and the reclaim is race-free.
-  TaskState s = t->load_state();
   if (reclaim_enabled_ && s == TaskState::kStolenClaim &&
       t->state.compare_exchange_strong(s, TaskState::kRunOwner,
                                        std::memory_order_acq_rel,
@@ -332,11 +335,25 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
   // sees the registration (wake lands) or this load sees the final state
   // (never parks) — the park timeout remains only as the generic
   // backstop.
-  steal_until_on(join_parker_, [&] {
-    join_target_.store(t, std::memory_order_seq_cst);
-    const TaskState cur = t->load_state(std::memory_order_seq_cst);
-    return cur == TaskState::kTerm || cur == TaskState::kCommitReady;
-  });
+  //
+  // A frame with a ready list is this worker's own schedule: the owner
+  // pops from it before stealing anywhere else, and the steal loop hands
+  // back to the list whenever it holds ready work again.
+  for (;;) {
+    if (help_from_ready_list(t, f)) break;
+    bool list_ready = false;
+    steal_until_on(join_parker_, [&] {
+      join_target_.store(t, std::memory_order_seq_cst);
+      const TaskState cur = t->load_state(std::memory_order_seq_cst);
+      if (cur == TaskState::kTerm || cur == TaskState::kCommitReady) {
+        list_ready = false;
+        return true;
+      }
+      list_ready = own_ready_list(f) != nullptr;
+      return list_ready;
+    });
+    if (!list_ready) break;
+  }
   // xk-order: deregistration only — the seq_cst *registration* store is
   // the half of the no-lost-wakeup pairing that matters; a thief reading
   // a stale non-null target sends one spurious (benign) wake.
@@ -350,6 +367,43 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
     }
     check_task_store(t, TaskState::kTerm);
     t->state.store(TaskState::kTerm, std::memory_order_release);
+  }
+}
+
+ReadyList* Worker::own_ready_list(Frame& f) {
+  if (depth_.load(std::memory_order_relaxed) > kMaxDepth - 64) return nullptr;
+  ReadyList* rl = f.ready_list.load(std::memory_order_acquire);
+  return rl != nullptr && rl->approx_ready() > 0 ? rl : nullptr;
+}
+
+bool Worker::help_from_ready_list(Task* t, Frame& f) {
+  for (;;) {
+    const TaskState cur = t->load_state();
+    if (cur == TaskState::kTerm || cur == TaskState::kCommitReady) return true;
+    ReadyList* rl = own_ready_list(f);
+    if (rl == nullptr) return false;
+    // One popper per list at a time: combiners pop this frame's list only
+    // while holding this worker's steal mutex, and so does the owner. A
+    // busy mutex means a combiner is dealing from the list right now.
+    if (!steal_mutex_.try_lock()) {
+      std::this_thread::yield();
+      continue;
+    }
+    Task* r = rl->pop_ready_claimed(domain_rank_, &stats_->shard_hits,
+                                    &stats_->shard_misses);
+    steal_mutex_.unlock();
+    if (r == nullptr) return false;
+    stats_->readylist_pops++;
+    // The pop left the task StolenClaim with no reply slot holding it, so
+    // the reclaim edge cannot lose. A body exception stays on the
+    // descriptor until the drain's cursor reaches it, which keeps sync's
+    // rethrow in program order.
+    TaskState claimed = TaskState::kStolenClaim;
+    [[maybe_unused]] const bool won = r->state.compare_exchange_strong(
+        claimed, TaskState::kRunOwner, std::memory_order_acq_rel,
+        std::memory_order_acquire);
+    assert(won);
+    run_task(r, &f, /*stolen=*/false);
   }
 }
 

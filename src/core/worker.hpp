@@ -356,6 +356,17 @@ class Worker {
   /// in-flight reply drain, then the full Frame::reset.
   void pop_frame_dekker(Frame& f, std::uint32_t d);
 
+  /// The owner's share of a join on `t` in its current frame `f`: while
+  /// `f` has a ready list with ready work, pop one task from it (under this
+  /// worker's own steal mutex, try-lock) and run it as the owner,
+  /// re-checking `t` after each. Returns true once `t` reached a final
+  /// state, false when the list has nothing to offer.
+  bool help_from_ready_list(Task* t, Frame& f);
+
+  /// `f`'s ready list when it is attached and has live ready entries and
+  /// this stack has room to nest another task; nullptr otherwise.
+  ReadyList* own_ready_list(Frame& f);
+
   /// Two-level victim draw over victim_order_: while local_fails_ has not
   /// exhausted steal_local_tries_ — and the starvation board does not
   /// declare this worker's whole domain starving — the draw spans only the

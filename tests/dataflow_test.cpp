@@ -3,9 +3,15 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -233,7 +239,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DagParams{1, 0, 256}, DagParams{2, 0, 256},
                       DagParams{4, 0, 256}, DagParams{4, 1, 256},
                       DagParams{4, 0, 8},   // force ready-list attach
-                      DagParams{8, 1, 8}));
+                      DagParams{8, 1, 8},
+                      // the default attach threshold
+                      DagParams{1, 0, 16}, DagParams{2, 0, 16},
+                      DagParams{4, 0, 16}, DagParams{8, 0, 16}));
 
 // ---------------------------------------------------------------------------
 // Renaming: WAW chains over the same variable must still produce the last
@@ -285,6 +294,118 @@ TEST(Dataflow, ReadyListAttachesOnBlockedScans) {
   // With several thieves hammering a serial chain the accelerating structure
   // should engage (not guaranteed on a 1-core box, so this is a soft check).
   SUCCEED() << "readylist attaches=" << rt.stats_snapshot().readylist_attach;
+}
+
+// ---------------------------------------------------------------------------
+// The frame owner helps from its own ready list while it joins a stolen
+// task. Shape: a long task `head` on cell x runs on a thief and waits until
+// the owner has run one of the independent tasks, so the owner can only get
+// there by helping from the list while it joins `head`. Two rw tasks on x
+// stay blocked behind `head`, which (threshold 1) attaches the list.
+// ---------------------------------------------------------------------------
+
+constexpr int kHelpTasks = 32;
+constexpr auto kHelpTimeout = std::chrono::seconds(10);
+
+struct HelpScenario {
+  int x = 0;
+  std::array<long, kHelpTasks> cells{};
+  std::array<std::array<long, 4>, kHelpTasks> sub{};
+  std::atomic<int> owner_ran{0};
+  std::atomic<bool> head_started{false};
+  std::vector<std::string> caught;
+  bool attached = false;
+};
+
+/// Runs the scenario; every independent task whose index is in `throwers`
+/// throws after its work, and with `nested` each one spawns and syncs four
+/// children of its own.
+void run_help_scenario(HelpScenario& sc, const std::vector<int>& throwers,
+                       bool nested) {
+  xk::Config c = cfg(4);
+  c.ready_list_threshold = 1;
+  c.steal_batch = 1;
+  xk::Runtime rt(c);
+  rt.run([&] {
+    xk::Worker* owner = xk::this_worker();
+    const auto deadline = std::chrono::steady_clock::now() + kHelpTimeout;
+    xk::spawn(
+        [&sc, deadline](int* x) {
+          sc.head_started.store(true);
+          while (sc.owner_ran.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          *x = 1;
+        },
+        xk::rw(&sc.x));
+    xk::spawn([](int* x) { *x = *x * 10 + 2; }, xk::rw(&sc.x));
+    xk::spawn([](int* x) { *x = *x * 10 + 3; }, xk::rw(&sc.x));
+    for (int i = 0; i < kHelpTasks; ++i) {
+      const bool thrower =
+          std::find(throwers.begin(), throwers.end(), i) != throwers.end();
+      xk::spawn(
+          [&sc, owner, nested, thrower, i](long* cell) {
+            if (xk::this_worker() == owner) {
+              sc.owner_ran.fetch_add(1);
+            } else {
+              // Thieves are slow, so most of the list is left to the owner.
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+            if (nested) {
+              auto& sub = sc.sub[static_cast<std::size_t>(i)];
+              for (long& s : sub) {
+                xk::spawn([](long* v) { *v += 1; }, xk::rw(&s));
+              }
+              xk::sync();
+              *cell = std::accumulate(sub.begin(), sub.end(), 0L);
+            } else {
+              *cell = i + 1;
+            }
+            if (thrower) throw std::runtime_error("task " + std::to_string(i));
+          },
+          xk::rw(&sc.cells[static_cast<std::size_t>(i)]));
+    }
+    // Join only once a thief runs `head` and the list is attached.
+    xk::Frame& f = owner->current_frame();
+    while ((!sc.head_started.load() ||
+            f.ready_list.load(std::memory_order_acquire) == nullptr) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    sc.attached = f.ready_list.load(std::memory_order_acquire) != nullptr;
+    try {
+      xk::sync();
+    } catch (const std::runtime_error& e) {
+      sc.caught.emplace_back(e.what());
+    }
+    xk::sync();  // nothing left to rethrow
+  });
+}
+
+TEST(OwnerHelp, HelpedExceptionsRethrowOnceInProgramOrder) {
+  HelpScenario sc;
+  run_help_scenario(sc, {29, 7, 13}, false);
+  ASSERT_TRUE(sc.attached);
+  EXPECT_GT(sc.owner_ran.load(), 0) << "owner never helped from its list";
+  EXPECT_EQ(sc.caught, (std::vector<std::string>{"task 7"}));
+  EXPECT_EQ(sc.x, 123);
+  for (int i = 0; i < kHelpTasks; ++i) {
+    EXPECT_EQ(sc.cells[static_cast<std::size_t>(i)], i + 1) << "task " << i;
+  }
+}
+
+TEST(OwnerHelp, HelpedTasksSpawnAndSyncChildren) {
+  HelpScenario sc;
+  run_help_scenario(sc, {}, true);
+  ASSERT_TRUE(sc.attached);
+  EXPECT_GT(sc.owner_ran.load(), 0) << "owner never helped from its list";
+  EXPECT_TRUE(sc.caught.empty());
+  EXPECT_EQ(sc.x, 123);
+  for (int i = 0; i < kHelpTasks; ++i) {
+    EXPECT_EQ(sc.cells[static_cast<std::size_t>(i)], 4) << "task " << i;
+    for (long v : sc.sub[static_cast<std::size_t>(i)]) EXPECT_EQ(v, 1);
+  }
 }
 
 TEST(Dataflow, MixedForkJoinAndDataflow) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "core/xkaapi.hpp"
@@ -42,16 +43,18 @@ TEST(Foreach, NegativeRangeIsNoop) {
 }
 
 struct CoverParams {
-  unsigned workers;
+  std::uint64_t workers;  // 64-bit: an unsigned here would leave 4 padding
+                          // bytes, and gtest names the cases by raw bytes
   std::int64_t n;
   std::int64_t grain;
 };
+static_assert(std::has_unique_object_representations_v<CoverParams>);
 
 class ForeachCoverage : public ::testing::TestWithParam<CoverParams> {};
 
 TEST_P(ForeachCoverage, EveryIndexExactlyOnce) {
   const auto p = GetParam();
-  xk::Runtime rt(cfg(p.workers));
+  xk::Runtime rt(cfg(static_cast<unsigned>(p.workers)));
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(p.n));
   for (auto& h : hits) h.store(0);
   rt.run([&] {

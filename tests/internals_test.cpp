@@ -179,18 +179,25 @@ TEST(FrameTest, ExecCursorCrossesChunks) {
 struct RlFixture {
   xk::Frame frame;
   std::vector<xk::Access> accesses;  // stable storage
+  std::vector<xk::Task*> tasks;      // program order
 
-  RlFixture() { accesses.reserve(64); }
+  explicit RlFixture(std::size_t capacity = 64) {
+    accesses.reserve(capacity);
+  }
 
   xk::Task* add(const void* region_base, std::size_t bytes,
                 xk::AccessMode mode) {
+    return add(xk::MemRegion::contiguous(region_base, bytes), mode);
+  }
+
+  xk::Task* add(const xk::MemRegion& region, xk::AccessMode mode) {
+    EXPECT_LT(accesses.size(), accesses.capacity()) << "storage would move";
     xk::Task* t = make_task(frame.arena);
-    accesses.push_back(xk::Access{
-        xk::MemRegion::contiguous(region_base, bytes), mode, 0,
-        xk::kNoArgOffset});
+    accesses.push_back(xk::Access{region, mode, 0, xk::kNoArgOffset});
     t->accesses = &accesses.back();
     t->naccesses = 1;
     frame.push_task(t);
+    tasks.push_back(t);
     return t;
   }
 };
@@ -760,6 +767,212 @@ TEST(ReadyListShardDeathTest, OutOfRangeRankAssertsInDebug) {
   EXPECT_DEATH(rl.extend(/*shard=*/5), "routing bug");
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// ReadyList dependence-graph shape: an exclusive contiguous access retires
+// the live intervals it covers, so the graph stays linear, and every
+// dependence program order requires still gets its edge.
+// ---------------------------------------------------------------------------
+
+constexpr xk::RlLockMode kAllRlModes[] = {
+    xk::RlLockMode::kGlobal, xk::RlLockMode::kSplit, xk::RlLockMode::kLockFree};
+
+/// Completes `t` the way the runtime does: notify, then Term.
+void rl_finish(xk::ReadyList& rl, xk::Task* t) {
+  rl.on_complete(t);
+  t->state.store(xk::TaskState::kTerm, std::memory_order_release);
+}
+
+/// Pops everything ready, then finishes the popped tasks one at a time in
+/// pop order, until the list runs dry. Checks the sequential contract on
+/// every pop: each earlier task in program order whose access conflicts
+/// has already finished. Returns the pop order.
+std::vector<xk::Task*> rl_drain_checked(xk::ReadyList& rl,
+                                        const RlFixture& fx) {
+  std::vector<xk::Task*> order;
+  std::vector<xk::Task*> batch;
+  for (;;) {
+    batch.clear();
+    while (xk::Task* t = rl.pop_ready_claimed()) batch.push_back(t);
+    if (batch.empty()) break;
+    for (xk::Task* t : batch) {
+      const auto j = static_cast<std::size_t>(
+          std::find(fx.tasks.begin(), fx.tasks.end(), t) - fx.tasks.begin());
+      EXPECT_LT(j, fx.tasks.size());
+      for (std::size_t i = 0; i < j; ++i) {
+        const xk::Task* p = fx.tasks[i];
+        if (!xk::accesses_conflict(p->accesses[0], t->accesses[0])) continue;
+        EXPECT_EQ(p->load_state(), xk::TaskState::kTerm)
+            << "task " << j << " released before its predecessor " << i;
+      }
+    }
+    for (xk::Task* t : batch) {
+      order.push_back(t);
+      rl_finish(rl, t);
+    }
+  }
+  EXPECT_EQ(order.size(), fx.tasks.size()) << "tasks never released";
+  return order;
+}
+
+TEST(ReadyListGraph, RwChainOnOneCellHasLinearEdges) {
+  constexpr std::size_t kTasks = 1000;
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx(kTasks);
+    double cell = 0;
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      fx.add(&cell, sizeof cell, xk::AccessMode::kReadWrite);
+    }
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    ASSERT_EQ(rl.covered(), kTasks);
+    EXPECT_EQ(rl.edge_count(), kTasks - 1) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(rl_drain_checked(rl, fx), fx.tasks);
+  }
+}
+
+TEST(ReadyListGraph, ReadFanOutKeepsEveryReaderEdge) {
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx;
+    double cell = 0;
+    constexpr auto kRw = xk::AccessMode::kReadWrite;
+    constexpr auto kR = xk::AccessMode::kRead;
+    xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
+    xk::Task* r1 = fx.add(&cell, sizeof cell, kR);
+    xk::Task* r2 = fx.add(&cell, sizeof cell, kR);
+    xk::Task* r3 = fx.add(&cell, sizeof cell, kR);
+    xk::Task* w4 = fx.add(&cell, sizeof cell, kRw);
+    xk::Task* r5 = fx.add(&cell, sizeof cell, kR);
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    // w0 -> r1,r2,r3; r1,r2,r3 + w0 -> w4 (w4 retires all four); w4 -> r5.
+    EXPECT_EQ(rl.edge_count(), 3u + 4u + 1u);
+    ASSERT_EQ(rl.pop_ready_claimed(), w0);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+    rl_finish(rl, w0);
+    std::vector<xk::Task*> readers;
+    while (xk::Task* t = rl.pop_ready_claimed()) readers.push_back(t);
+    ASSERT_EQ(readers.size(), 3u);
+    // The writer waits for the *last* reader, not just the first.
+    rl_finish(rl, r1);
+    rl_finish(rl, r3);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+    rl_finish(rl, r2);
+    ASSERT_EQ(rl.pop_ready_claimed(), w4);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+    rl_finish(rl, w4);
+    EXPECT_EQ(rl.pop_ready_claimed(), r5);
+  }
+}
+
+TEST(ReadyListGraph, CumulativeWritePeersRetireNothing) {
+  // CW peers do not depend on each other, so a CW access must not retire
+  // an interval: the next peer would lose its edge from whatever the
+  // retired interval stood for, and a later reader needs an edge from
+  // *every* peer.
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx;
+    double cell = 0;
+    constexpr auto kCw = xk::AccessMode::kCumulWrite;
+    xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
+    xk::Task* c1 = fx.add(&cell, sizeof cell, kCw);
+    xk::Task* c2 = fx.add(&cell, sizeof cell, kCw);
+    xk::Task* r3 = fx.add(&cell, sizeof cell, xk::AccessMode::kRead);
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    ASSERT_EQ(rl.pop_ready_claimed(), w0);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "c2 skipped w0";
+    rl_finish(rl, w0);
+    xk::Task* a = rl.pop_ready_claimed();
+    xk::Task* b = rl.pop_ready_claimed();
+    ASSERT_TRUE((a == c1 && b == c2) || (a == c2 && b == c1));
+    rl_finish(rl, c2);  // the younger peer first
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "reader skipped c1";
+    rl_finish(rl, c1);
+    EXPECT_EQ(rl.pop_ready_claimed(), r3);
+  }
+}
+
+TEST(ReadyListGraph, StridedWriterRetiresNothing) {
+  // The strided writer's bounding interval [0, 13) contains w0's [0, 2),
+  // but its runs touch only element 0: a reader of element 1 must still
+  // wait for w0.
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx;
+    double v[16] = {};
+    constexpr auto kRw = xk::AccessMode::kReadWrite;
+    xk::Task* w0 = fx.add(&v[0], 2 * sizeof(double), kRw);
+    xk::Task* s1 = fx.add(
+        xk::MemRegion::strided(&v[0], sizeof(double), 4, 4 * sizeof(double)),
+        kRw);
+    xk::Task* r2 = fx.add(&v[1], sizeof(double), xk::AccessMode::kRead);
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    ASSERT_EQ(rl.pop_ready_claimed(), w0);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+    rl_finish(rl, w0);
+    // s1 and r2 are independent of each other (element 1 vs 0,4,8,12).
+    std::vector<xk::Task*> got;
+    while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
+    EXPECT_EQ(got, (std::vector<xk::Task*>{s1, r2}));
+  }
+}
+
+TEST(ReadyListGraph, PartialCoverRetiresNothing) {
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx;
+    double v[8] = {};
+    constexpr auto kRw = xk::AccessMode::kReadWrite;
+    xk::Task* w0 = fx.add(&v[0], 4 * sizeof(double), kRw);
+    xk::Task* w1 = fx.add(&v[0], 2 * sizeof(double), kRw);  // half of w0
+    xk::Task* r2 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
+    xk::Task* w3 = fx.add(&v[0], 8 * sizeof(double), kRw);  // covers all
+    xk::Task* r4 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    // w0 -> w1, w0 -> r2; w3 takes w0, w1, r2 and retires them; w3 -> r4.
+    EXPECT_EQ(rl.edge_count(), 2u + 3u + 1u);
+    ASSERT_EQ(rl.pop_ready_claimed(), w0);
+    rl_finish(rl, w0);
+    std::vector<xk::Task*> got;
+    while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
+    EXPECT_EQ(got, (std::vector<xk::Task*>{w1, r2}));
+    rl_finish(rl, w1);
+    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "w3 skipped r2";
+    rl_finish(rl, r2);
+    ASSERT_EQ(rl.pop_ready_claimed(), w3);
+    rl_finish(rl, w3);
+    EXPECT_EQ(rl.pop_ready_claimed(), r4);
+  }
+}
+
+TEST(ReadyListGraph, MixedProgramMatchesProgramOrder) {
+  // A seeded mix of every mode over overlapping, strided and partial
+  // regions, drained with the program-order check on every release.
+  constexpr std::size_t kTasks = 400;
+  for (xk::RlLockMode mode : kAllRlModes) {
+    RlFixture fx(kTasks);
+    double v[32] = {};
+    xk::Rng rng(7);
+    constexpr xk::AccessMode kModes[] = {
+        xk::AccessMode::kRead, xk::AccessMode::kWrite,
+        xk::AccessMode::kReadWrite, xk::AccessMode::kCumulWrite};
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      const std::size_t lo = rng.next() % 24;
+      const xk::AccessMode m = kModes[rng.next() % 4];
+      if (rng.next() % 4 == 0) {
+        fx.add(xk::MemRegion::strided(&v[lo], sizeof(double), 3,
+                                      2 * sizeof(double)),
+               m);
+      } else {
+        fx.add(&v[lo], (1 + rng.next() % 8) * sizeof(double), m);
+      }
+    }
+    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
+    rl.extend();
+    rl_drain_checked(rl, fx);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Starvation board.

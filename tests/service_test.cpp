@@ -220,24 +220,26 @@ TEST(Service, OverlappingClientSections) {
     rt.begin();
     phase.fetch_add(1);
     while (phase.load() < 2) std::this_thread::yield();  // b's section open
-    std::uint64_t local = 0;
+    // Stolen children run concurrently: the accumulator must be atomic.
+    std::atomic<std::uint64_t> local{0};
     for (int i = 0; i < 64; ++i) {
-      xk::spawn([&local, i] { local += static_cast<std::uint64_t>(i); });
+      xk::spawn([&local, i] { local.fetch_add(static_cast<std::uint64_t>(i)); });
     }
     xk::sync();
-    sum.fetch_add(local);
+    sum.fetch_add(local.load());
     rt.end();
   });
   std::thread b([&] {
     while (phase.load() < 1) std::this_thread::yield();  // a's section open
     rt.begin();
     phase.fetch_add(1);
-    std::uint64_t local = 0;
+    // Stolen children run concurrently: the accumulator must be atomic.
+    std::atomic<std::uint64_t> local{0};
     for (int i = 0; i < 64; ++i) {
-      xk::spawn([&local, i] { local += static_cast<std::uint64_t>(i); });
+      xk::spawn([&local, i] { local.fetch_add(static_cast<std::uint64_t>(i)); });
     }
     xk::sync();
-    sum.fetch_add(local);
+    sum.fetch_add(local.load());
     rt.end();
   });
   a.join();

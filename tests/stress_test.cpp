@@ -394,6 +394,78 @@ TEST(Stress, ReadyListLockFreeHammer) {
   readylist_lock_hammer(xk::RlLockMode::kLockFree);
 }
 
+// Regression for the lost release behind the hammer hangs above: a task
+// claimed while extend() was covering it — after coverage's first state
+// check, before its initially-ready check — and then terminated without
+// notifying was neither queued nor watched. Nothing could fold its
+// completion, so its successor was never released. Here extend() covers
+// N independent rw heads (then one successor per head) while another
+// thread claims and silently terminates the heads from the far end, so
+// the two meet inside add_node. Afterwards pops (with their dry-list
+// sweeps) must release every successor.
+void readylist_claim_during_coverage(xk::RlLockMode mode) {
+  constexpr std::uint32_t kHeads = 512;
+  constexpr int kReps = 40;
+  for (int rep = 0; rep < kReps; ++rep) {
+    xk::Frame frame;
+    std::vector<double> cells(kHeads, 0.0);
+    std::vector<xk::Access> accesses;
+    accesses.reserve(2 * kHeads);  // stable: tasks point into it
+    std::vector<xk::Task*> tasks;
+    for (std::uint32_t i = 0; i < 2 * kHeads; ++i) {
+      auto* t = new (frame.arena.allocate(sizeof(xk::Task), alignof(xk::Task)))
+          xk::Task();
+      t->body = [](void*, xk::Worker&) {};
+      accesses.push_back(xk::Access{
+          xk::MemRegion::contiguous(&cells[i % kHeads], sizeof(double)),
+          xk::AccessMode::kReadWrite, 0, xk::kNoArgOffset});
+      t->accesses = &accesses.back();
+      t->naccesses = 1;
+      tasks.push_back(t);
+      frame.push_task(t);
+    }
+    xk::ReadyList rl(frame, 1, nullptr, mode);
+    std::atomic<bool> armed{false}, go{false};
+    std::thread claimer([&] {
+      armed.store(true);
+      while (!go.load()) {
+      }
+      for (std::uint32_t i = kHeads; i-- > 0;) {
+        if (tasks[i]->try_claim(xk::TaskState::kRunOwner)) {
+          tasks[i]->state.store(xk::TaskState::kTerm,
+                                std::memory_order_release);
+        }
+      }
+    });
+    while (!armed.load()) {
+    }
+    go.store(true);
+    rl.extend();
+    claimer.join();
+    while (xk::Task* t = rl.pop_ready_claimed()) {
+      rl.on_complete(t);
+      t->state.store(xk::TaskState::kTerm, std::memory_order_release);
+    }
+    for (std::uint32_t i = kHeads; i < 2 * kHeads; ++i) {
+      ASSERT_EQ(tasks[i]->load_state(), xk::TaskState::kTerm)
+          << "rep " << rep << ": successor of head " << i - kHeads
+          << " never released";
+    }
+  }
+}
+
+TEST(Stress, ReadyListClaimDuringCoverageGlobal) {
+  readylist_claim_during_coverage(xk::RlLockMode::kGlobal);
+}
+
+TEST(Stress, ReadyListClaimDuringCoverageSplit) {
+  readylist_claim_during_coverage(xk::RlLockMode::kSplit);
+}
+
+TEST(Stress, ReadyListClaimDuringCoverageLockFree) {
+  readylist_claim_during_coverage(xk::RlLockMode::kLockFree);
+}
+
 // End-to-end: dataflow chains on the asymmetric 1x2+1x6 shape with a tiny
 // attach threshold, so real steal rounds attach, extend, pop and complete
 // sharded ready lists across both domains — under both lock modes. (The CI
