@@ -28,9 +28,24 @@
 
 namespace {
 
-std::uint64_t fib_seq(int n) {
-  return n < 2 ? static_cast<std::uint64_t>(n)
-               : fib_seq(n - 1) + fib_seq(n - 2);
+// The sequential reference keeps the task versions' call tree: no
+// inlining, cloning or signature rewriting may turn it into a loop or drop
+// the pointer writes (a plain value recursion is reshaped at -O2 and
+// inflates every slowdown against it).
+#if defined(__clang__)
+[[clang::noinline]]
+#else
+[[gnu::noipa]]
+#endif
+void fib_seq(std::uint64_t* r, int n) {
+  if (n < 2) {
+    *r = static_cast<std::uint64_t>(n);
+    return;
+  }
+  std::uint64_t r1 = 0, r2 = 0;
+  fib_seq(&r1, n - 1);
+  fib_seq(&r2, n - 2);
+  *r = r1 + r2;
 }
 
 void fib_xk(std::uint64_t* r, int n) {
@@ -76,12 +91,13 @@ int main() {
   xkbench::preamble("Figure 1", "Fibonacci task-creation overhead");
   const int n = static_cast<int>(xk::env_int("XKREPRO_FIB_N", 27));
   const double timeout = xk::env_double("XKREPRO_TIMEOUT", 20.0);
-  const std::uint64_t expect = fib_seq(n);
+  std::uint64_t expect = 0;
+  fib_seq(&expect, n);
 
   xkbench::json_context("sequential", 1);
   const double t_seq = xkbench::time_best([&] {
-    volatile std::uint64_t r = fib_seq(n);
-    (void)r;
+    std::uint64_t r = 0;
+    fib_seq(&r, n);
   });
   std::printf("fib(%d) sequential time: %.4fs\n\n", n, t_seq);
 

@@ -97,26 +97,16 @@ int main() {
   struct Mode {
     const char* name;
     xk::ForeachPartition partition;
-    bool pin_rl_global;
   };
-  // The rl-global ablation row pins the foreach path's independence from
-  // the ready-list lock split (XK_RL_LOCK): slice claims are per-slice
-  // atomic exchanges that share only the hit/miss *counters* with the
-  // sharded ready lists, never their locks, so partitioned-rl-global must
-  // track partitioned within noise. Only that named row forces the lock
-  // mode — the two main series follow XK_RL_LOCK from the environment
-  // like every other knob.
   const Mode modes[] = {
-      {"partitioned", xk::ForeachPartition::kDomain, false},
-      {"interleaved", xk::ForeachPartition::kFlat, false},
-      {"partitioned-rl-global", xk::ForeachPartition::kDomain, true},
+      {"partitioned", xk::ForeachPartition::kDomain},
+      {"interleaved", xk::ForeachPartition::kFlat},
   };
 
   for (unsigned cores : xkbench::core_counts()) {
     for (const Mode& mode : modes) {
       xk::Config cfg = xk::Config::from_env();
       cfg.nworkers = cores;
-      if (mode.pin_rl_global) cfg.rl_lock = xk::RlLockMode::kGlobal;
       if (!xk::env_string("XK_PLACE")) cfg.place = "scatter";
       if (cfg.topo.empty() && xk::Topology::discover().nnodes() < 2) {
         // Flat box: a synthetic two-node shape keeps the domain paths hot

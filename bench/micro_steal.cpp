@@ -133,49 +133,11 @@ int main() {
     add_counter_row(table, "dataflow-grid", cores, t_grid, s);
   }
 
-  // Ready-list lock ablation (XK_RL_LOCK): the dataflow grid again, under
-  // the pre-split single mutex, the two-level graph/shard locking, and the
-  // lock-free ring scheme. A near-zero attach threshold plus a wider grid
-  // (more rows = more blocked candidates per scan) pushes steal rounds
-  // onto the accelerated pop path even at smoke sizes, so these series
-  // measure the list's locking — not whether a scan ever got expensive
-  // enough to attach one. All series run the identical workload; only the
-  // lock mode differs. CI gates split-must-not-lose-to-global and
-  // lockfree-must-not-lose-to-split on them (scripts/check_scaling.py
-  // --baseline-series).
-  const int abl_rows = rows * 2;
-  struct RlMode {
-    const char* name;
-    xk::RlLockMode mode;
-  };
-  const RlMode rl_modes[] = {
-      {"dataflow-grid-rl-global", xk::RlLockMode::kGlobal},
-      {"dataflow-grid-rl-split", xk::RlLockMode::kSplit},
-      {"dataflow-grid-rl-lockfree", xk::RlLockMode::kLockFree},
-  };
-  for (unsigned cores : xkbench::core_counts()) {
-    for (const RlMode& m : rl_modes) {
-      xk::Config cfg = xk::Config::from_env();
-      cfg.nworkers = cores;
-      cfg.rl_lock = m.mode;
-      cfg.ready_list_threshold = 4;
-      xk::Runtime rt(cfg);
-      rt.reset_stats();
-      std::vector<double> cells(static_cast<std::size_t>(abl_rows), 1.0);
-      xkbench::json_context(m.name, cores);
-      const double t = xkbench::time_best([&] {
-        rt.run([&] { dataflow_grid(cells, abl_rows, steps, work); });
-      });
-      const xk::WorkerStats s = rt.stats_snapshot();
-      xkbench::json_counters(rt.metrics_snapshot());
-      add_counter_row(table, m.name, cores, t, s);
-    }
-  }
   // Steal-width ablation (XK_STEAL_ADAPTIVE): the dataflow grid under the
   // feedback-sized adaptive protocol vs the fixed XK_STEAL_BATCH deal. The
   // identical workload runs in both modes; the adaptive series must not
   // lose to fixed (CI gates it at 8 workers with check_scaling.py
-  // --baseline-series, the same pattern as the rl-split gate). The
+  // --baseline-series). The
   // adaptive counters (steals_half / adaptive_flips / probes_skipped)
   // land in the JSON alongside the timing.
   for (unsigned cores : xkbench::core_counts()) {

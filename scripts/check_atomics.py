@@ -2,9 +2,9 @@
 """Memory-order lint for the concurrency core (no toolchain required).
 
 The codebase's atomics discipline is documented in docs/ANALYSIS.md; this
-script enforces the mechanical parts of it over the lint scope (src/core,
-src/quark, src/support/ring.hpp — the files where a silently-wrong order
-is a scheduler bug, not a stale counter):
+script enforces the mechanical parts of it over the lint scope (src/core
+and src/quark — the files where a silently-wrong order is a scheduler bug,
+not a stale counter):
 
   R1 explicit-order   Every std::atomic operation must pass an explicit
                       std::memory_order argument. A bare `.load()` compiles
@@ -19,13 +19,15 @@ is a scheduler bug, not a stale counter):
                       must carry an `// xk-order:` comment (same line or
                       the lines directly above) naming that edge.
 
-  R3 lock-order       Lock acquisitions in src/core/readylist.cpp must
-                      respect the declared order
-                          graph_mu_ (1) -> edge spinlock (2) -> shard/side
-                          mutex (3)
-                      (see the lock-order comment block in readylist.hpp).
-                      Functions named `*_graph_held` are analysed as
-                      entering with graph_mu_ already held.
+  R3 one-lock         src/core/readylist.cpp takes exactly one lock,
+                      graph_mu_ (see the Locking comment in
+                      readylist.hpp), through a scoped guard. Acquiring
+                      any other mutex is a violation, and so is acquiring
+                      graph_mu_ while it is already held — a self-deadlock
+                      on a non-recursive mutex — or calling .lock() /
+                      .try_lock() directly. Functions named `*_graph_held`
+                      are analysed as entering with graph_mu_ already
+                      held.
 
 The lint is lexical on purpose: the container toolchain has no libclang,
 so the script scrubs comments/strings and parses balanced-paren argument
@@ -58,7 +60,6 @@ SCOPE_GLOBS = [
     "src/quark/*.hpp",
     "src/quark/*.cpp",
     "src/quark/*.h",
-    "src/support/ring.hpp",
 ]
 
 # Atomic member operations that accept a memory_order argument. `.wait`,
@@ -88,27 +89,17 @@ JUSTIFY_TAG = "xk-order:"
 JUSTIFY_WINDOW = 6
 
 # ---------------------------------------------------------------------------
-# R3 lock-order table. Higher level = acquired later. The table mirrors the
-# "Lock order gains one leaf level" comment in readylist.hpp; change both
-# together.
+# R3: the ready list's one lock. Mirrors the Locking comment in
+# readylist.hpp; change both together.
 LOCK_ORDER_FILE = "src/core/readylist.cpp"
-LOCK_LEVELS = {
-    "graph_mu_": 1,
-    "edge spinlock": 2,
-    "shard/side mutex": 3,
-}
+LIST_LOCK = "graph_mu_"
 
-# RAII acquisitions: (regex, lock name). Matched against scrubbed source.
-RAII_ACQUIRE = [
-    (re.compile(r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b"
-                r"[^;(]*\(\s*graph_mu_"), "graph_mu_"),
-    (re.compile(r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b"
-                r"[^;(]*\([^;)]*\.mu\b"), "shard/side mutex"),
-    (re.compile(r"\bShardGuard\s+\w+\s*\("), "shard/side mutex"),
-]
-# Explicit (non-RAII) acquire/release pairs.
-EXPLICIT_ACQUIRE = re.compile(r"(?<!:)\bedge_lock_acquire\s*\(")
-EXPLICIT_RELEASE = re.compile(r"(?<!:)\bedge_lock_release\s*\(")
+# RAII acquisitions, capturing the mutex expression. Matched against
+# scrubbed source.
+RAII_ACQUIRE = re.compile(r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\b"
+                          r"[^;(]*\(\s*([^;),]*)")
+# Unscoped acquisitions, which the lexical guard tracking cannot follow.
+EXPLICIT_LOCK = re.compile(r"\.\s*(?:try_)?lock\s*\(\s*\)")
 GRAPH_HELD_FN = re.compile(r"\b(\w+_graph_held)\s*\([^;]*\)\s*(?:const\s*)?\{")
 
 
@@ -252,59 +243,54 @@ def check_orders(path: str, raw: str, scrubbed: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R3: lexical per-function lock-order tracking. Brace depth delimits RAII
-# guard lifetimes; edge_lock_acquire/release are explicit events. The
-# analysis is intra-procedural — a caller's held locks are invisible —
-# except for the `_graph_held` naming convention, which the tree uses
-# precisely so that holding graph_mu_ is visible in the signature.
+# R3: lexical per-function lock tracking. Brace depth delimits RAII guard
+# lifetimes. The analysis is intra-procedural — a caller's held locks are
+# invisible — except for the `_graph_held` naming convention, which the
+# tree uses precisely so that holding graph_mu_ is visible in the
+# signature.
 
 
 def check_lock_order(path: str, scrubbed: str) -> list[Violation]:
     out: list[Violation] = []
 
-    events = []  # (offset, kind, lockname) kind in {raii, acq, rel}
-    for rx, name in RAII_ACQUIRE:
-        for m in rx.finditer(scrubbed):
-            events.append((m.start(), "raii", name))
-    for m in EXPLICIT_ACQUIRE.finditer(scrubbed):
-        events.append((m.start(), "acq", "edge spinlock"))
-    for m in EXPLICIT_RELEASE.finditer(scrubbed):
-        events.append((m.start(), "rel", "edge spinlock"))
+    events = []  # (offset, kind, lock) kind in {acq, enter_held}
+    for m in RAII_ACQUIRE.finditer(scrubbed):
+        events.append((m.start(), "acq", m.group(1).strip()))
     for m in GRAPH_HELD_FN.finditer(scrubbed):
         # Entering a *_graph_held body: graph_mu_ is held by contract.
-        events.append((m.end() - 1, "enter_held", "graph_mu_"))
+        events.append((m.end() - 1, "enter_held", LIST_LOCK))
     events.sort()
+    for m in EXPLICIT_LOCK.finditer(scrubbed):
+        out.append(Violation(
+            path, line_of(scrubbed, m.start()), "R3",
+            f"unscoped lock call; take {LIST_LOCK} through a scoped guard"))
 
-    held: list[tuple[int, str, int]] = []  # (depth_acquired, lock, level)
+    held: list[int] = []  # brace depths at which graph_mu_ became held
     depth = 0
     ei = 0
     for off, ch in enumerate(scrubbed):
         while ei < len(events) and events[ei][0] == off:
-            _, kind, name = events[ei]
+            _, kind, lock = events[ei]
             ei += 1
-            level = LOCK_LEVELS[name]
-            if kind == "rel":
-                for k in range(len(held) - 1, -1, -1):
-                    if held[k][1] == name:
-                        del held[k]
-                        break
+            if kind == "acq" and lock != LIST_LOCK:
+                out.append(Violation(
+                    path, line_of(scrubbed, off), "R3",
+                    f"acquires {lock}; the ready list has one lock, "
+                    f"{LIST_LOCK}"))
                 continue
-            for _, held_name, held_level in held:
-                if held_level > level:
-                    out.append(Violation(
-                        path, line_of(scrubbed, off), "R3",
-                        f"acquires {name} (level {level}) while holding "
-                        f"{held_name} (level {held_level}); declared order "
-                        "is graph_mu_ -> edge spinlock -> shard/side "
-                        "mutex"))
+            if kind == "acq" and held:
+                out.append(Violation(
+                    path, line_of(scrubbed, off), "R3",
+                    f"acquires {LIST_LOCK} while already holding it "
+                    "(self-deadlock on a non-recursive mutex)"))
             # Registers at the current depth, so a guard (or a held-on-entry
             # contract) dies when its enclosing brace closes.
-            held.append((depth, name, level))
+            held.append(depth)
         if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
-            held = [h for h in held if h[0] < depth]
+            held = [d for d in held if d < depth]
     return out
 
 
@@ -364,15 +350,17 @@ void f(std::vector<int>& v) {
   v.clear();  // .load() in a comment is not an atomic op
 }
 """,
-    "lock order respected": """
-void ReadyList::extend() {
+    "one lock, taken once": """
+void ReadyList::extend(unsigned shard) {
   std::lock_guard lock(graph_mu_);
-  ShardGuard guard(shards_[shard], split_);
+  add_node_graph_held(t, shard);
 }
-void ReadyList::complete_lockfree(Node* n) {
-  edge_lock_acquire(n);
-  edge_lock_release(n);
-  std::lock_guard lock(shards_[s].mu);
+void ReadyList::add_node_graph_held(Task* t, unsigned shard) {
+  push_ready_graph_held(n, shard);
+}
+std::size_t ReadyList::covered() const {
+  std::lock_guard lock(graph_mu_);
+  return covered_count_;
 }
 """,
 }
@@ -400,17 +388,20 @@ void f(std::atomic<int>& a) {
   int old = a.exchange(1, std::memory_order_relaxed);
 }
 """),
-    "R3 shard before graph": ("R3", """
-void ReadyList::wrong() {
-  ShardGuard guard(shards_[shard], split_);
+    "R3 graph_mu_ re-acquired in a *_graph_held body": ("R3", """
+void ReadyList::sweep_watch_graph_held(unsigned shard) {
   std::lock_guard lock(graph_mu_);
 }
 """),
-    "R3 graph under edge spinlock": ("R3", """
-void ReadyList::wrong2(Node* n) {
-  edge_lock_acquire(n);
-  std::lock_guard lock(graph_mu_);
-  edge_lock_release(n);
+    "R3 a second mutex": ("R3", """
+void ReadyList::pop(unsigned s) {
+  std::lock_guard lock(shards_[s].mu);
+}
+"""),
+    "R3 unscoped lock call": ("R3", """
+void ReadyList::pop(unsigned s) {
+  if (!graph_mu_.try_lock()) return;
+  graph_mu_.unlock();
 }
 """),
 }
@@ -472,7 +463,7 @@ def main() -> int:
               f"{len(paths)} file(s)", file=sys.stderr)
         return 1
     print(f"check_atomics: {len(paths)} files clean "
-          f"(R1 explicit-order, R2 justified-relaxed, R3 lock-order)")
+          f"(R1 explicit-order, R2 justified-relaxed, R3 one-lock)")
     return 0
 
 

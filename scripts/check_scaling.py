@@ -14,8 +14,8 @@ with --baseline-series the check becomes
         <= --max-ratio
 
 (<=, not <: a tie passes — "must not lose", not "must win"). CI uses this
-for the ready-list lock ablation: the XK_RL_LOCK=split series must not lose
-to the =global baseline.
+for the steal-width ablation: the XK_STEAL_ADAPTIVE series must not lose
+to the fixed-batch baseline.
 
 A third mode gates across *files*: --baseline-file reads the baseline
 series from a second schema-v1 report instead of the same one. Combined
@@ -42,8 +42,8 @@ Examples:
   scripts/check_scaling.py BENCH_fig1_fib.json --series XKaapi \
       --slow 1 --fast 8 --max-ratio 1.0
   scripts/check_scaling.py BENCH_micro_steal.json \
-      --series dataflow-grid-rl-split \
-      --baseline-series dataflow-grid-rl-global --fast 8 --max-ratio 1.05
+      --series dataflow-grid-steal-adaptive \
+      --baseline-series dataflow-grid-steal-fixed --fast 8 --max-ratio 1.15
   scripts/check_scaling.py BENCH_spawn_obs.json --series "BM_spawn/8" \
       --baseline-file BENCH_spawn_noobs.json --fast 8 --max-ratio 1.05
   scripts/check_scaling.py BENCH_micro_service.json --series open-loop \

@@ -2,11 +2,11 @@
 // (the static half is scripts/check_atomics.py + .clang-tidy; see
 // docs/ANALYSIS.md).
 //
-// The lock-free machinery (MPMC ring shards, epoch retirement, the
-// service token state machine) rests on state machines that TSan cannot
+// The task claim machine, the ready list's edge and gauge accounting and
+// the service token state machine are protocols that TSan cannot
 // validate — TSan sees data races, not protocol violations. A checked
 // build (-DXK_CHECK=ON) compiles XK_EXPECT assertions into the seams of
-// readylist/worker/runtime/service/ring; the default build compiles every
+// readylist/worker/runtime/service; the default build compiles every
 // hook to nothing, mirroring the XK_OBS=OFF stub discipline in
 // obs/trace.hpp, so the hot paths the paper measures stay untouched.
 //

@@ -14,13 +14,11 @@
 //             Init -> {RunOwner | StolenClaim -> RunThief} -> BodyDone*
 //             -> (CommitReady) -> Term, one claimer per task.
 //   ready   — the ReadyList accelerating structure (core/readylist.*):
-//             gauge accounting, paired npred edges, epoch-deferred
-//             interval retirement.
+//             gauge accounting and paired npred edges.
 //   service — the JobStatus machine (core/service.hpp): terminal states
 //             are mutually exclusive and settle exactly once.
 //   section — Runtime::begin()/end() master-slot balance and the
 //             exactly-once observability drain per section batch.
-//   ring    — the MpmcRing slot/sequence protocol (support/ring.hpp).
 #pragma once
 
 #include <cstddef>
@@ -34,13 +32,9 @@ namespace xk::check {
   X(task_claim_state, task,                                                   \
     "task claim CAS targeted a state that is not a claim state")              \
   X(rl_accounting, ready,                                                     \
-    "nready_ != entries summed over rings+deques at a quiesced fold point")   \
+    "nready_ != entries summed over shard deques at a quiesced fold point")   \
   X(rl_npred_underflow, ready,                                                \
     "npred decrement without a matching coverage-edge increment")             \
-  X(rl_retire_incomplete, ready,                                              \
-    "live interval retired before its node's completed flag was set")         \
-  X(rl_retire_unsettled, ready,                                               \
-    "retired node still held a shard gauge contribution")                     \
   X(job_transition, service,                                                  \
     "job status moved along an edge outside the service state machine")       \
   X(job_settle_twice, service,                                                \
@@ -48,9 +42,7 @@ namespace xk::check {
   X(section_underflow, section,                                               \
     "section close without a matching open")                                  \
   X(section_drain, section,                                                   \
-    "observability drained with sections open, or not once per batch")        \
-  X(ring_overflow, ring,                                                      \
-    "MPMC ring claim ticket ran ahead of the consumers by > capacity")
+    "observability drained with sections open, or not once per batch")
 // clang-format on
 
 /// Invariant ids, one per registry entry (stable within a build only).

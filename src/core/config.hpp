@@ -14,15 +14,6 @@
 
 namespace xk {
 
-/// Locking discipline for a frame's ReadyList (the XK_RL_LOCK ablation
-/// knob). kSplit = two-level graph/shard locking; kGlobal = the pre-split
-/// single mutex (graph_mu_ serializes everything, exact old behavior);
-/// kLockFree = split's graph lock plus lock-free shard rings and a
-/// lock-free completion path (see readylist.hpp). Declared here, not in
-/// readylist.hpp, so Config and the env parser can name it without
-/// dragging in the ReadyList internals.
-enum class RlLockMode : std::uint8_t { kGlobal, kSplit, kLockFree };
-
 struct Config {
   /// Worker thread count (the paper: one thread per core by default).
   unsigned nworkers = 0;  // 0 => default_worker_count()
@@ -110,19 +101,6 @@ struct Config {
   /// runs dry. Off forces one shard (the pre-sharding behavior); flat
   /// one-domain machines collapse to one shard either way.
   bool shard_ready_list = true;
-
-  /// Ready-list locking discipline (XK_RL_LOCK=split|global|lockfree).
-  /// `split` (the default) gives each frame's ReadyList a two-level
-  /// scheme: a graph mutex for the dependence graph plus one lock per
-  /// domain shard, so steal-path pops never contend with completions or
-  /// coverage growth outside their own shard. `lockfree` keeps the graph
-  /// mutex for coverage growth but replaces each shard's mutex+deque with
-  /// a bounded MPMC ring (mutex-guarded side deque on overflow) and moves
-  /// the completion hot path off the graph mutex entirely (lock-free
-  /// task->node index, deferred live-interval retirement). `global`
-  /// restores the single per-frame mutex — the pre-split behavior. Both
-  /// `split` and `global` are kept byte-for-byte as ablation baselines.
-  RlLockMode rl_lock = RlLockMode::kSplit;
 
   /// Failed local steal rounds accumulated across a *whole domain's*
   /// thieves (since the domain's last successful steal) before the domain

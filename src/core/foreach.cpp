@@ -76,9 +76,7 @@ bool claim_slice_pass(ForeachShared& sh, ForeachWork& w, unsigned domain,
 /// split feeds the same shard_hits/shard_misses telemetry as the sharded
 /// ready lists — one consistent "stayed in my domain's pool" signal.
 /// (Only the *counters* are shared: slice claims are a per-slice atomic
-/// exchange and take no ReadyList lock, so the XK_RL_LOCK graph/shard
-/// split cannot change foreach behavior — the rl-global ablation series
-/// in micro_locality pins that independence.)
+/// exchange and take no ReadyList lock.)
 /// Returns false when all slices are claimed.
 bool claim_reserved_slice(ForeachShared& sh, ForeachWork& w, Worker& self) {
   const unsigned domain = self.domain();

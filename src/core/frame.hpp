@@ -118,15 +118,12 @@ class Frame {
   /// the steal mutex, consulted by the Term path with a single acquire load.
   /// The list is sharded by locality domain (one ready deque per domain
   /// rank; see readylist.hpp) — callers pass their domain rank so releases
-  /// and pops route through their own domain's shard first. Internally the
-  /// list uses two-level graph/shard locking, or lock-free MPMC rings plus
-  /// a lock-free completion index (XK_RL_LOCK); the frame never
-  /// participates in that synchronization — reset()/~Frame delete the list
-  /// only after the Dekker handshake excluded every scanner, so no list
-  /// lock can be held or wanted (and no lock-free reader in flight) at
-  /// that point. The epoch bump in reset() is the boundary every list-side
-  /// cache keys off: coverage, early completions, and in lockfree mode the
-  /// task->node index and deferred interval retirement.
+  /// and pops route through their own domain's shard first. The list's
+  /// one mutex is internal; the frame never participates in it —
+  /// reset()/~Frame delete the list only after the Dekker handshake
+  /// excluded every scanner, so that lock can be neither held nor wanted
+  /// at that point. The epoch bump in reset() is the boundary the list's
+  /// coverage and early-completion records key off.
   std::atomic<ReadyList*> ready_list{nullptr};
 
   /// Set by a combiner (inside the scanning window) when it steal-claims a

@@ -59,19 +59,6 @@ Config Config::from_env() {
   cfg.steal_local_tries = static_cast<int>(
       env_int("XK_STEAL_LOCAL_TRIES", cfg.steal_local_tries));
   cfg.shard_ready_list = env_bool("XK_RL_SHARD", cfg.shard_ready_list);
-  if (auto lock = env_string("XK_RL_LOCK")) {
-    if (*lock == "split") {
-      cfg.rl_lock = RlLockMode::kSplit;
-    } else if (*lock == "global") {
-      cfg.rl_lock = RlLockMode::kGlobal;
-    } else if (*lock == "lockfree") {
-      cfg.rl_lock = RlLockMode::kLockFree;
-    } else {
-      std::fprintf(stderr,
-                   "xk: ignoring unknown XK_RL_LOCK=%s (split|global|lockfree)\n",
-                   lock->c_str());
-    }
-  }
   cfg.starve_rounds =
       static_cast<int>(env_int("XK_STARVE_ROUNDS", cfg.starve_rounds));
   cfg.trace_path = env_string("XK_TRACE").value_or(cfg.trace_path);

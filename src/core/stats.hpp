@@ -49,9 +49,6 @@ namespace xk {
   X(readylist_pops)           \
   X(shard_hits)               \
   X(shard_misses)             \
-  X(rl_ring_spills)           \
-  X(rl_ring_retries)          \
-  X(rl_side_pops)             \
   X(starvation_escalations)   \
   X(renames)                  \
   X(scan_visited)             \
@@ -90,13 +87,6 @@ struct WorkerStats {
                                    ///  queues)
   std::uint64_t shard_misses = 0;  ///< pops that crossed into another domain's
                                    ///  shard after the local one ran dry
-  std::uint64_t rl_ring_spills = 0;   ///< ready-ring pushes that overflowed to
-                                      ///  the mutex-guarded side deque
-                                      ///  (XK_RL_LOCK=lockfree)
-  std::uint64_t rl_ring_retries = 0;  ///< ring push/pop CAS races lost against
-                                      ///  another worker (ring contention)
-  std::uint64_t rl_side_pops = 0;     ///< pops served from a side deque instead
-                                      ///  of the ring (spill drain traffic)
   std::uint64_t starvation_escalations = 0;  ///< victim draws widened to remote
                                              ///  domains early by the shared
                                              ///  starvation signal
@@ -189,14 +179,12 @@ class StarvationBoard {
 
   unsigned ndomains() const { return static_cast<unsigned>(gauges_.size()); }
 
-  /// Ready-shard depth accounting. Increments ride the owning shard's
-  /// lock (two-level ReadyList locking: the push and the gauge bump are
-  /// one critical section, so depth never lags the deque by more than the
-  /// relaxed-gauge staleness the verdict already tolerates). Decrements
-  /// come from ReadyList's lock-free settle — an atomic exchange on the
-  /// node's queued-shard field performed by whichever of a pop (after it
-  /// dropped the shard lock) and a completion (graph lock held) gets
-  /// there first; the exchange alone orders the two.
+  /// Ready-shard depth accounting. Increments and decrements both ride
+  /// the owning ReadyList's lock: the push and the gauge bump are one
+  /// critical section, and so is the settle performed by whichever of a
+  /// pop and a completion reaches the node first, so depth never lags the
+  /// deques by more than the relaxed-gauge staleness the verdict already
+  /// tolerates.
   void add_ready(unsigned rank, std::int64_t delta) {
     if (Gauge* g = gauge(rank)) {
       g->ready.fetch_add(delta, std::memory_order_relaxed);

@@ -71,7 +71,6 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
   steal_local_tries_ = rt.config().steal_local_tries;
   starve_rounds_ = std::max(rt.config().starve_rounds, 0);
   shard_ready_ = rt.config().shard_ready_list;
-  rl_lock_mode_ = rt.config().rl_lock;
   starvation_ = &rt.starvation();
   deterministic_victims_ = pl.deterministic;
   victim_rr_ = id_;  // stagger rotating thieves off a common first victim
@@ -236,7 +235,7 @@ void Worker::run_task(Task* t, Frame* src, bool stolen) {
     if (ReadyList* rl = src->ready_list.load(std::memory_order_acquire)) {
       // Before Term (see ReadyList locking notes); released successors
       // join this worker's domain shard — it just wrote their inputs.
-      rl->on_complete(t, domain_rank_, &stats_.value);
+      rl->on_complete(t, domain_rank_);
     }
   }
   check_task_store(t, TaskState::kTerm);
@@ -363,7 +362,7 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
     // so the renamed writes can land on their true targets.
     commit_renames(t);
     if (ReadyList* rl = f.ready_list.load(std::memory_order_acquire)) {
-      rl->on_complete(t, domain_rank_, &stats_.value);
+      rl->on_complete(t, domain_rank_);
     }
     check_task_store(t, TaskState::kTerm);
     t->state.store(TaskState::kTerm, std::memory_order_release);
@@ -797,13 +796,10 @@ Readiness Worker::check_ready(Worker& victim, std::uint64_t round,
   return false_only ? Readiness::kFalseOnly : Readiness::kBlocked;
 }
 
-// Batch-pops from the frame's ready list into the reply pool. Under split
-// locking (XK_RL_LOCK=split, the default) the batch is not an atomic
-// snapshot of the whole list — completions land concurrently and a short
-// (even empty) batch only means the shards looked dry when probed. That is
-// fine here: the deal serves whatever the pool holds, an unserved thief's
-// request simply fails and is re-posted, and the next combiner round
-// re-pours. Nothing below assumes "one lock acquisition saw everything".
+// Batch-pops from the frame's ready list into the reply pool. A short (even
+// empty) batch is fine: the deal serves whatever the pool holds, an
+// unserved thief's request simply fails and is re-posted, and the next
+// combiner round re-pours.
 void Worker::pour_ready_list(ReadyList& rl, Frame& f,
                              std::size_t pool_target, std::size_t npending) {
   if (reply_scratch_.size() >= pool_target) return;
@@ -820,7 +816,7 @@ void Worker::pour_ready_list(ReadyList& rl, Frame& f,
   batch_scratch_.resize(pool_target - reply_scratch_.size());
   const std::size_t got = rl.pop_ready_claimed_batch(
       batch_scratch_.data(), batch_scratch_.size(), domain_rank_,
-      &stats_->shard_hits, &stats_->shard_misses, &stats_.value);
+      &stats_->shard_hits, &stats_->shard_misses);
   stats_->readylist_pops += got;
   if (got != 0) f.mark_steal_claimed();
   for (std::size_t k = 0; k < got; ++k) {
@@ -1133,13 +1129,10 @@ void Worker::combine_on(Worker& victim) {
     // forced shard (XK_RL_SHARD=0) would credit every domain's ready depth
     // to rank 0 and corrupt the starvation veto, so the unsharded ablation
     // runs without depth tracking (starvation falls back to pure
-    // failed-round counting). The lock mode (XK_RL_LOCK) picks between
-    // two-level graph/shard locking, the lock-free ring scheme, and the
-    // single-mutex baseline.
-    auto* rl = shard_ready_
-                   ? new ReadyList(*hottest, rt_.ndomains(),
-                                   &rt_.starvation(), rl_lock_mode_)
-                   : new ReadyList(*hottest, 1, nullptr, rl_lock_mode_);
+    // failed-round counting).
+    auto* rl = shard_ready_ ? new ReadyList(*hottest, rt_.ndomains(),
+                                            &rt_.starvation())
+                            : new ReadyList(*hottest);
     hottest->ready_list.store(rl, std::memory_order_release);
     rl->extend(domain_rank_);
     stats_->readylist_attach++;

@@ -424,10 +424,8 @@ class Worker {
   /// split lands in this worker's stats). Under XK_STEAL_ADAPTIVE the take
   /// is additionally capped by adaptive_take_cap over the list's live
   /// depth and `npending` still-unserved requests (steal-half: the victim
-  /// keeps half of what the one-each floor leaves). Under XK_RL_LOCK=split
-  /// the pops ride per-shard locks and the batch is not an atomic
-  /// whole-list snapshot; under =global it is one lock acquisition (old
-  /// behavior).
+  /// keeps half of what the one-each floor leaves). The batch is one
+  /// acquisition of the list's lock.
   void pour_ready_list(ReadyList& rl, Frame& f, std::size_t pool_target,
                        std::size_t npending);
 
@@ -492,7 +490,6 @@ class Worker {
   int steal_local_tries_ = 0;           ///< failed local rounds before escalating
   int starve_rounds_ = 0;               ///< domain-wide threshold (0 = off)
   bool shard_ready_ = true;             ///< attach domain-sharded ready lists
-  RlLockMode rl_lock_mode_ = RlLockMode::kSplit;  ///< XK_RL_LOCK discipline
   bool deterministic_victims_ = false;  ///< synthetic topo: rotate, don't draw
   unsigned victim_rr_ = 0;              ///< rotation cursor (deterministic mode)
   int local_fails_ = 0;                 ///< consecutive failed local-tier rounds

@@ -30,9 +30,9 @@ enum class Ev : std::uint32_t {
   // -- cat "ready": the ready-list accelerating structure -----------------
   kRlAttach,      ///< instant: a frame crossed the threshold and got a list
   kRlPush,        ///< instant: a released/ready task entered a shard
-                  ///  (args: shard, provenance, live depth after)
+                  ///  (args: shard, live depth after)
   kRlPop,         ///< instant: a pop left a shard (args: home shard,
-                  ///  serving shard, provenance)
+                  ///  serving shard)
   // -- cat "idle": park/unpark and quiescence -----------------------------
   kPark,          ///< span: one Parker::park sleep (args: woken by notify?)
   kQuiesceFold,   ///< instant: a 0<->1 occupancy transition climbed the
@@ -52,14 +52,6 @@ enum class Ev : std::uint32_t {
 
 inline constexpr std::size_t kEventKinds = static_cast<std::size_t>(Ev::kCount_);
 
-/// Provenance values for kRlPush/kRlPop's `prov` argument: which physical
-/// queue inside the shard the entry moved through.
-enum RlProv : std::uint64_t {
-  kProvDeque = 0,  ///< split/global: the shard's mutex-guarded deque
-  kProvRing = 1,   ///< lockfree: the bounded MPMC ring
-  kProvSide = 2,   ///< lockfree: the overflow side deque (a spill)
-};
-
 struct EventInfo {
   const char* name;  ///< Chrome "name"
   const char* cat;   ///< Chrome "cat" (the category coverage unit)
@@ -75,8 +67,8 @@ inline constexpr EventInfo kEventInfo[kEventKinds] = {
     {"steal.failed", "steal", true, {"victim", nullptr, nullptr}},
     {"steal.combine", "steal", true, {"victim", "pending", "served"}},
     {"ready.attach", "ready", false, {"covered", nullptr, nullptr}},
-    {"ready.push", "ready", false, {"shard", "prov", "depth"}},
-    {"ready.pop", "ready", false, {"home", "from", "prov"}},
+    {"ready.push", "ready", false, {"shard", "depth", nullptr}},
+    {"ready.pop", "ready", false, {"home", "from", nullptr}},
     {"idle.park", "idle", true, {"woken", nullptr, nullptr}},
     {"idle.quiesce_fold", "idle", false, {"levels", "occupied", nullptr}},
     {"foreach.chunk", "foreach", true, {"lo", "n", nullptr}},

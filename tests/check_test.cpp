@@ -31,8 +31,7 @@ TEST(CheckRegistry, TableIsCoherent) {
 }
 
 TEST(CheckRegistry, FamiliesCoverEverySubsystem) {
-  bool task = false, ready = false, service = false, section = false,
-       ring = false;
+  bool task = false, ready = false, service = false, section = false;
   for (std::size_t i = 0; i < xk::check::kInvariantCount; ++i) {
     const char* fam =
         xk::check::invariant_info(static_cast<xk::check::Inv>(i)).family;
@@ -40,9 +39,8 @@ TEST(CheckRegistry, FamiliesCoverEverySubsystem) {
     ready |= std::strcmp(fam, "ready") == 0;
     service |= std::strcmp(fam, "service") == 0;
     section |= std::strcmp(fam, "section") == 0;
-    ring |= std::strcmp(fam, "ring") == 0;
   }
-  EXPECT_TRUE(task && ready && service && section && ring);
+  EXPECT_TRUE(task && ready && service && section);
 }
 
 TEST(CheckStubs, DisabledBuildCompilesHooksToNothing) {
@@ -51,8 +49,8 @@ TEST(CheckStubs, DisabledBuildCompilesHooksToNothing) {
     // contract): a side-effecting condition would change unchecked-build
     // behavior.
     int evaluated = 0;
-    XK_EXPECT(ring_overflow, (++evaluated, true));
-    XK_EXPECT(ring_overflow, (++evaluated, false));
+    XK_EXPECT(rl_npred_underflow, (++evaluated, true));
+    XK_EXPECT(rl_npred_underflow, (++evaluated, false));
     EXPECT_EQ(evaluated, 0);
     EXPECT_EQ(xk::check::violations_total(), 0u);
   } else {
@@ -66,10 +64,10 @@ TEST(CheckCountMode, SeededViolationIsRecorded) {
     // checker fires on a violation, per invariant, without aborting.
     xk::check::set_mode(xk::check::Mode::kCount);
     xk::check::reset_violations();
-    XK_EXPECT(ring_overflow, false, 123u);
+    XK_EXPECT(rl_npred_underflow, false, 123u);
     XK_EXPECT(job_settle_twice, 1 + 1 == 3);
     XK_EXPECT(job_settle_twice, false);
-    EXPECT_EQ(xk::check::violations(xk::check::Inv::ring_overflow), 1u);
+    EXPECT_EQ(xk::check::violations(xk::check::Inv::rl_npred_underflow), 1u);
     EXPECT_EQ(xk::check::violations(xk::check::Inv::job_settle_twice), 2u);
     EXPECT_EQ(xk::check::violations(xk::check::Inv::task_transition), 0u);
     EXPECT_EQ(xk::check::violations_total(), 3u);
@@ -106,19 +104,16 @@ TEST(CheckAbortModeDeathTest, SeededViolationAborts) {
 }
 
 // Drive every hooked seam — spawn/sync plain stores, steal claims, the
-// ready-list dataflow path (all three lock modes), ring pushes, service
-// settles, overlapping sections with the drain-once rule — and require a
-// spotless run. This is the in-tree miniature of the CI XK_CHECK=ON leg.
+// ready-list dataflow path, service settles, overlapping sections with the
+// drain-once rule — and require a spotless run. This is the in-tree
+// miniature of the CI XK_CHECK=ON leg.
 TEST(CheckWorkout, FullSeamSweepIsViolationFree) {
   if constexpr (xk::check::kEnabled) {
     xk::check::set_mode(xk::check::Mode::kCount);
     xk::check::reset_violations();
-    for (const xk::RlLockMode mode :
-         {xk::RlLockMode::kGlobal, xk::RlLockMode::kSplit,
-          xk::RlLockMode::kLockFree}) {
+    {
       xk::Config cfg;
       cfg.nworkers = 4;
-      cfg.rl_lock = mode;
       xk::Runtime rt(cfg);
       rt.run([&] {
         std::atomic<int> sum{0};

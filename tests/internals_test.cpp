@@ -338,11 +338,10 @@ TEST(ReadyListTest, ClaimedElsewhereTermFoldsInOrder) {
   ASSERT_TRUE(t0->try_claim(xk::TaskState::kRunOwner));
   t0->state.store(xk::TaskState::kTerm);  // silent: no on_complete
   // Pop order: t0 folds (releasing t1 behind t2, which was already ready).
-  xk::Task* a = rl.pop_ready_claimed();
-  xk::Task* b = rl.pop_ready_claimed();
-  EXPECT_EQ(a, t2);
-  EXPECT_EQ(b, t1);
+  EXPECT_EQ(rl.pop_ready_claimed(), t2);
+  EXPECT_EQ(rl.pop_ready_claimed(), t1);
   EXPECT_GE(rl.missed_folds(), 1u);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
 }
 
 TEST(ReadyListTest, LazySweepReleasesWatchedChainUnderLoad) {
@@ -461,141 +460,12 @@ TEST(ReadyListShard, BoardTracksShardDepths) {
     t1->state.store(xk::TaskState::kTerm);
     EXPECT_EQ(board.ready_depth(1), 1);
     // The shard's own live-depth gauge mirrors the board at every step
-    // (they are updated together: push under the shard lock, settle via
-    // the same atomic exchange).
+    // (they are updated together under the list's lock).
     EXPECT_EQ(rl.shard_live_depth(1), board.ready_depth(1));
     // rl destroyed with one live task still queued (plus t1's dead id):
     // the destructor returns exactly the live contribution.
   }
   EXPECT_EQ(board.ready_depth(1), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Two-level (graph/shard) locking vs the global-mutex ablation.
-// ---------------------------------------------------------------------------
-
-// Replays the claim-race fold scenario of ClaimedElsewhereTermFoldsInOrder
-// under XK_RL_LOCK=global and asserts the exact pre-split pop order: the
-// whole batch under one lock, inline folds, folded successors released
-// behind already-ready younger tasks. Split mode must produce the same
-// order in a single-threaded replay (the locking changed, the routing did
-// not) — both are pinned so an accidental semantic divergence between the
-// two pop implementations fails loudly.
-TEST(ReadyListLock, GlobalAndSplitAgreeOnPopOrder) {
-  for (xk::RlLockMode mode :
-       {xk::RlLockMode::kGlobal, xk::RlLockMode::kSplit,
-        xk::RlLockMode::kLockFree}) {
-    RlFixture fx;
-    double chain = 0, other = 0;
-    xk::Task* t0 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
-    xk::Task* t1 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
-    xk::Task* t2 = fx.add(&other, 8, xk::AccessMode::kWrite);
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    ASSERT_EQ(rl.lock_mode(), mode);
-    rl.extend();
-    ASSERT_TRUE(t0->try_claim(xk::TaskState::kRunOwner));
-    t0->state.store(xk::TaskState::kTerm);  // silent: no on_complete
-    EXPECT_EQ(rl.pop_ready_claimed(), t2) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(rl.pop_ready_claimed(), t1) << "mode " << static_cast<int>(mode);
-    EXPECT_GE(rl.missed_folds(), 1u);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-  }
-}
-
-TEST(ReadyListLock, GlobalModeShardRoutingUnchanged) {
-  // The local-shard-first contract of ReadyListShard.LocalShardFirstPopOrder
-  // under the global single mutex: lock mode selects the locking, never
-  // the routing.
-  RlFixture fx;
-  double chain = 0, other = 0;
-  xk::Task* t0 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
-  xk::Task* t1 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
-  xk::Task* t2 = fx.add(&other, 8, xk::AccessMode::kWrite);
-  xk::ReadyList rl(fx.frame, 2, nullptr, xk::RlLockMode::kGlobal);
-  rl.extend(/*shard=*/0);
-  xk::Task* out[1] = {};
-  std::uint64_t hits = 0, misses = 0;
-  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 0, &hits, &misses), 1u);
-  EXPECT_EQ(out[0], t0);
-  rl.on_complete(t0, /*shard=*/1);
-  t0->state.store(xk::TaskState::kTerm);
-  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 1, &hits, &misses), 1u);
-  EXPECT_EQ(out[0], t1);  // own shard beats the older cross-shard t2
-  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 1, &hits, &misses), 1u);
-  EXPECT_EQ(out[0], t2);
-  EXPECT_EQ(hits, 2u);
-  EXPECT_EQ(misses, 1u);
-}
-
-// The lock-free mode's bounded ring spills to the mutex-guarded side deque
-// when full, and the side-nonempty divert rule keeps the combined order
-// FIFO: once anything sits in the side deque, later pushes go there too,
-// so ring entries always predate side entries. This covers the whole
-// overflow story in one shot — spill on push, FIFO across the boundary,
-// ring-first/side-second drain on pop, and the spill/side telemetry.
-TEST(ReadyListLockFree, RingOverflowSpillsToSideDequeInFifoOrder) {
-  constexpr std::size_t kTasks = xk::ReadyList::kRingCapacity + 96;
-  RlFixture fx;
-  fx.accesses.reserve(kTasks);  // stable storage for every access record
-  std::vector<double> slots(kTasks, 0.0);
-  std::vector<xk::Task*> tasks;
-  tasks.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    tasks.push_back(fx.add(&slots[i], 8, xk::AccessMode::kWrite));
-  }
-  xk::ReadyList rl(fx.frame, 1, nullptr, xk::RlLockMode::kLockFree);
-  rl.extend();
-  EXPECT_EQ(rl.ready_size(), kTasks);
-  // Everything past the ring's capacity had to spill.
-  EXPECT_GE(rl.ring_spills(), kTasks - xk::ReadyList::kRingCapacity);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(rl.pop_ready_claimed(), tasks[i]) << "index " << i;
-  }
-  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-  EXPECT_GE(rl.side_pops(), kTasks - xk::ReadyList::kRingCapacity);
-  EXPECT_EQ(rl.ready_size(), 0u);
-}
-
-// Regression: the lock-free index's grow path used to rehash from the
-// authoritative task->node map, which also holds every node that was
-// already completed when coverage reached it (those skip the table on
-// purpose). On owner-heavy frames — a 1-worker run where the owner FIFO
-// retires most tasks before extend() covers them — the map can exceed
-// any capacity derived from the table's own occupancy, so the rehash
-// overfilled the fresh table and the open-addressed probe spun forever.
-// 2200 pre-completed covers + 800 live inserts crosses the first grow
-// (at 716 live) with a map bigger than the 2048-slot table it used to
-// rehash into; pre-fix this test hangs.
-TEST(ReadyListLockFree, IndexGrowWithManyPreCompletedCoveredTasks) {
-  constexpr std::size_t kDone = 2200;
-  constexpr std::size_t kLive = 800;
-  RlFixture fx;
-  fx.accesses.reserve(kDone + kLive);
-  std::vector<double> slots(kDone + kLive, 0.0);
-  std::vector<xk::Task*> live;
-  live.reserve(kLive);
-  for (std::size_t i = 0; i < kDone; ++i) {
-    xk::Task* t = fx.add(&slots[i], 8, xk::AccessMode::kWrite);
-    t->state.store(xk::TaskState::kTerm);  // retired before coverage
-  }
-  for (std::size_t i = 0; i < kLive; ++i) {
-    live.push_back(fx.add(&slots[kDone + i], 8, xk::AccessMode::kWrite));
-  }
-  xk::ReadyList rl(fx.frame, 1, nullptr, xk::RlLockMode::kLockFree);
-  // Coverage is capped at 2048 tasks per round; two rounds cover all 3000.
-  rl.extend();
-  rl.extend();
-  EXPECT_EQ(rl.ready_size(), kLive);
-  for (std::size_t i = 0; i < kLive; ++i) {
-    xk::Task* t = rl.pop_ready_claimed();
-    ASSERT_EQ(t, live[i]) << "index " << i;
-    // Complete through the lock-free lookup so every probe walks the
-    // grown table (not just the insert path).
-    rl.on_complete(t);
-    t->state.store(xk::TaskState::kTerm);
-  }
-  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-  EXPECT_EQ(rl.ready_size(), 0u);
 }
 
 // Single-pop shard telemetry (PR 7 satellite): the convenience single-task
@@ -665,28 +535,23 @@ TEST(ReadyListTest, PopAfterFrameRecycleServesNoStaleEntries) {
   // before the new incarnation's first extend()/on_complete() must not
   // serve a prior-incarnation queue entry whose task pointer aliases
   // freshly recycled arena storage.
-  for (xk::RlLockMode mode :
-       {xk::RlLockMode::kGlobal, xk::RlLockMode::kSplit,
-        xk::RlLockMode::kLockFree}) {
-    RlFixture fx;
-    double slot = 0.0;
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    fx.add(&slot, 8, xk::AccessMode::kWrite);
-    rl.extend();
-    ASSERT_EQ(rl.ready_size(), 1u);  // queued, never popped
-    fx.frame.reset();
-    fx.accesses.clear();
-    xk::Task* fresh = fx.add(&slot, 8, xk::AccessMode::kWrite);
-    // First contact with the recycled frame is a *pop*: it must drop the
-    // stale entry (the fresh task is not covered yet) rather than claim
-    // through the aliased pointer.
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(rl.ready_size(), 0u);
-    EXPECT_EQ(fresh->load_state(), xk::TaskState::kInit);
-    rl.extend();
-    EXPECT_EQ(rl.pop_ready_claimed(), fresh);
-  }
+  RlFixture fx;
+  double slot = 0.0;
+  xk::ReadyList rl(fx.frame);
+  fx.add(&slot, 8, xk::AccessMode::kWrite);
+  rl.extend();
+  ASSERT_EQ(rl.ready_size(), 1u);  // queued, never popped
+  fx.frame.reset();
+  fx.accesses.clear();
+  xk::Task* fresh = fx.add(&slot, 8, xk::AccessMode::kWrite);
+  // First contact with the recycled frame is a *pop*: it must drop the
+  // stale entry (the fresh task is not covered yet) rather than claim
+  // through the aliased pointer.
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+  EXPECT_EQ(rl.ready_size(), 0u);
+  EXPECT_EQ(fresh->load_state(), xk::TaskState::kInit);
+  rl.extend();
+  EXPECT_EQ(rl.pop_ready_claimed(), fresh);
 }
 
 TEST(ReadyListTest, WatchRecycledAcrossFrameReset) {
@@ -774,9 +639,6 @@ TEST(ReadyListShardDeathTest, OutOfRangeRankAssertsInDebug) {
 // dependence program order requires still gets its edge.
 // ---------------------------------------------------------------------------
 
-constexpr xk::RlLockMode kAllRlModes[] = {
-    xk::RlLockMode::kGlobal, xk::RlLockMode::kSplit, xk::RlLockMode::kLockFree};
-
 /// Completes `t` the way the runtime does: notify, then Term.
 void rl_finish(xk::ReadyList& rl, xk::Task* t) {
   rl.on_complete(t);
@@ -817,52 +679,48 @@ std::vector<xk::Task*> rl_drain_checked(xk::ReadyList& rl,
 
 TEST(ReadyListGraph, RwChainOnOneCellHasLinearEdges) {
   constexpr std::size_t kTasks = 1000;
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx(kTasks);
-    double cell = 0;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      fx.add(&cell, sizeof cell, xk::AccessMode::kReadWrite);
-    }
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    ASSERT_EQ(rl.covered(), kTasks);
-    EXPECT_EQ(rl.edge_count(), kTasks - 1) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(rl_drain_checked(rl, fx), fx.tasks);
+  RlFixture fx(kTasks);
+  double cell = 0;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    fx.add(&cell, sizeof cell, xk::AccessMode::kReadWrite);
   }
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  ASSERT_EQ(rl.covered(), kTasks);
+  EXPECT_EQ(rl.edge_count(), kTasks - 1);
+  EXPECT_EQ(rl_drain_checked(rl, fx), fx.tasks);
 }
 
 TEST(ReadyListGraph, ReadFanOutKeepsEveryReaderEdge) {
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx;
-    double cell = 0;
-    constexpr auto kRw = xk::AccessMode::kReadWrite;
-    constexpr auto kR = xk::AccessMode::kRead;
-    xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
-    xk::Task* r1 = fx.add(&cell, sizeof cell, kR);
-    xk::Task* r2 = fx.add(&cell, sizeof cell, kR);
-    xk::Task* r3 = fx.add(&cell, sizeof cell, kR);
-    xk::Task* w4 = fx.add(&cell, sizeof cell, kRw);
-    xk::Task* r5 = fx.add(&cell, sizeof cell, kR);
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    // w0 -> r1,r2,r3; r1,r2,r3 + w0 -> w4 (w4 retires all four); w4 -> r5.
-    EXPECT_EQ(rl.edge_count(), 3u + 4u + 1u);
-    ASSERT_EQ(rl.pop_ready_claimed(), w0);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-    rl_finish(rl, w0);
-    std::vector<xk::Task*> readers;
-    while (xk::Task* t = rl.pop_ready_claimed()) readers.push_back(t);
-    ASSERT_EQ(readers.size(), 3u);
-    // The writer waits for the *last* reader, not just the first.
-    rl_finish(rl, r1);
-    rl_finish(rl, r3);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-    rl_finish(rl, r2);
-    ASSERT_EQ(rl.pop_ready_claimed(), w4);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-    rl_finish(rl, w4);
-    EXPECT_EQ(rl.pop_ready_claimed(), r5);
-  }
+  RlFixture fx;
+  double cell = 0;
+  constexpr auto kRw = xk::AccessMode::kReadWrite;
+  constexpr auto kR = xk::AccessMode::kRead;
+  xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
+  xk::Task* r1 = fx.add(&cell, sizeof cell, kR);
+  xk::Task* r2 = fx.add(&cell, sizeof cell, kR);
+  xk::Task* r3 = fx.add(&cell, sizeof cell, kR);
+  xk::Task* w4 = fx.add(&cell, sizeof cell, kRw);
+  xk::Task* r5 = fx.add(&cell, sizeof cell, kR);
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  // w0 -> r1,r2,r3; r1,r2,r3 + w0 -> w4 (w4 retires all four); w4 -> r5.
+  EXPECT_EQ(rl.edge_count(), 3u + 4u + 1u);
+  ASSERT_EQ(rl.pop_ready_claimed(), w0);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+  rl_finish(rl, w0);
+  std::vector<xk::Task*> readers;
+  while (xk::Task* t = rl.pop_ready_claimed()) readers.push_back(t);
+  ASSERT_EQ(readers.size(), 3u);
+  // The writer waits for the *last* reader, not just the first.
+  rl_finish(rl, r1);
+  rl_finish(rl, r3);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+  rl_finish(rl, r2);
+  ASSERT_EQ(rl.pop_ready_claimed(), w4);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+  rl_finish(rl, w4);
+  EXPECT_EQ(rl.pop_ready_claimed(), r5);
 }
 
 TEST(ReadyListGraph, CumulativeWritePeersRetireNothing) {
@@ -870,107 +728,199 @@ TEST(ReadyListGraph, CumulativeWritePeersRetireNothing) {
   // an interval: the next peer would lose its edge from whatever the
   // retired interval stood for, and a later reader needs an edge from
   // *every* peer.
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx;
-    double cell = 0;
-    constexpr auto kCw = xk::AccessMode::kCumulWrite;
-    xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
-    xk::Task* c1 = fx.add(&cell, sizeof cell, kCw);
-    xk::Task* c2 = fx.add(&cell, sizeof cell, kCw);
-    xk::Task* r3 = fx.add(&cell, sizeof cell, xk::AccessMode::kRead);
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    ASSERT_EQ(rl.pop_ready_claimed(), w0);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "c2 skipped w0";
-    rl_finish(rl, w0);
-    xk::Task* a = rl.pop_ready_claimed();
-    xk::Task* b = rl.pop_ready_claimed();
-    ASSERT_TRUE((a == c1 && b == c2) || (a == c2 && b == c1));
-    rl_finish(rl, c2);  // the younger peer first
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "reader skipped c1";
-    rl_finish(rl, c1);
-    EXPECT_EQ(rl.pop_ready_claimed(), r3);
-  }
+  RlFixture fx;
+  double cell = 0;
+  constexpr auto kCw = xk::AccessMode::kCumulWrite;
+  xk::Task* w0 = fx.add(&cell, sizeof cell, xk::AccessMode::kWrite);
+  xk::Task* c1 = fx.add(&cell, sizeof cell, kCw);
+  xk::Task* c2 = fx.add(&cell, sizeof cell, kCw);
+  xk::Task* r3 = fx.add(&cell, sizeof cell, xk::AccessMode::kRead);
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  ASSERT_EQ(rl.pop_ready_claimed(), w0);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "c2 skipped w0";
+  rl_finish(rl, w0);
+  xk::Task* a = rl.pop_ready_claimed();
+  xk::Task* b = rl.pop_ready_claimed();
+  ASSERT_TRUE((a == c1 && b == c2) || (a == c2 && b == c1));
+  rl_finish(rl, c2);  // the younger peer first
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "reader skipped c1";
+  rl_finish(rl, c1);
+  EXPECT_EQ(rl.pop_ready_claimed(), r3);
 }
 
 TEST(ReadyListGraph, StridedWriterRetiresNothing) {
   // The strided writer's bounding interval [0, 13) contains w0's [0, 2),
   // but its runs touch only element 0: a reader of element 1 must still
   // wait for w0.
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx;
-    double v[16] = {};
-    constexpr auto kRw = xk::AccessMode::kReadWrite;
-    xk::Task* w0 = fx.add(&v[0], 2 * sizeof(double), kRw);
-    xk::Task* s1 = fx.add(
-        xk::MemRegion::strided(&v[0], sizeof(double), 4, 4 * sizeof(double)),
-        kRw);
-    xk::Task* r2 = fx.add(&v[1], sizeof(double), xk::AccessMode::kRead);
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    ASSERT_EQ(rl.pop_ready_claimed(), w0);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
-    rl_finish(rl, w0);
-    // s1 and r2 are independent of each other (element 1 vs 0,4,8,12).
-    std::vector<xk::Task*> got;
-    while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
-    EXPECT_EQ(got, (std::vector<xk::Task*>{s1, r2}));
-  }
+  RlFixture fx;
+  double v[16] = {};
+  constexpr auto kRw = xk::AccessMode::kReadWrite;
+  xk::Task* w0 = fx.add(&v[0], 2 * sizeof(double), kRw);
+  xk::Task* s1 = fx.add(
+      xk::MemRegion::strided(&v[0], sizeof(double), 4, 4 * sizeof(double)),
+      kRw);
+  xk::Task* r2 = fx.add(&v[1], sizeof(double), xk::AccessMode::kRead);
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  ASSERT_EQ(rl.pop_ready_claimed(), w0);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr);
+  rl_finish(rl, w0);
+  // s1 and r2 are independent of each other (element 1 vs 0,4,8,12).
+  std::vector<xk::Task*> got;
+  while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
+  EXPECT_EQ(got, (std::vector<xk::Task*>{s1, r2}));
 }
 
 TEST(ReadyListGraph, PartialCoverRetiresNothing) {
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx;
-    double v[8] = {};
-    constexpr auto kRw = xk::AccessMode::kReadWrite;
-    xk::Task* w0 = fx.add(&v[0], 4 * sizeof(double), kRw);
-    xk::Task* w1 = fx.add(&v[0], 2 * sizeof(double), kRw);  // half of w0
-    xk::Task* r2 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
-    xk::Task* w3 = fx.add(&v[0], 8 * sizeof(double), kRw);  // covers all
-    xk::Task* r4 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    // w0 -> w1, w0 -> r2; w3 takes w0, w1, r2 and retires them; w3 -> r4.
-    EXPECT_EQ(rl.edge_count(), 2u + 3u + 1u);
-    ASSERT_EQ(rl.pop_ready_claimed(), w0);
-    rl_finish(rl, w0);
-    std::vector<xk::Task*> got;
-    while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
-    EXPECT_EQ(got, (std::vector<xk::Task*>{w1, r2}));
-    rl_finish(rl, w1);
-    EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "w3 skipped r2";
-    rl_finish(rl, r2);
-    ASSERT_EQ(rl.pop_ready_claimed(), w3);
-    rl_finish(rl, w3);
-    EXPECT_EQ(rl.pop_ready_claimed(), r4);
+  RlFixture fx;
+  double v[8] = {};
+  constexpr auto kRw = xk::AccessMode::kReadWrite;
+  xk::Task* w0 = fx.add(&v[0], 4 * sizeof(double), kRw);
+  xk::Task* w1 = fx.add(&v[0], 2 * sizeof(double), kRw);  // half of w0
+  xk::Task* r2 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
+  xk::Task* w3 = fx.add(&v[0], 8 * sizeof(double), kRw);  // covers all
+  xk::Task* r4 = fx.add(&v[3], sizeof(double), xk::AccessMode::kRead);
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  // w0 -> w1, w0 -> r2; w3 takes w0, w1, r2 and retires them; w3 -> r4.
+  EXPECT_EQ(rl.edge_count(), 2u + 3u + 1u);
+  ASSERT_EQ(rl.pop_ready_claimed(), w0);
+  rl_finish(rl, w0);
+  std::vector<xk::Task*> got;
+  while (xk::Task* t = rl.pop_ready_claimed()) got.push_back(t);
+  EXPECT_EQ(got, (std::vector<xk::Task*>{w1, r2}));
+  rl_finish(rl, w1);
+  EXPECT_EQ(rl.pop_ready_claimed(), nullptr) << "w3 skipped r2";
+  rl_finish(rl, r2);
+  ASSERT_EQ(rl.pop_ready_claimed(), w3);
+  rl_finish(rl, w3);
+  EXPECT_EQ(rl.pop_ready_claimed(), r4);
+}
+
+/// One seeded run of the mixed-program sweep below. Tasks are published in
+/// waves; an emulated frame owner claims program-order-ready tasks and
+/// finishes them the three ways the runtime can (notify then Term, Term
+/// with no notification, or hold the claim and Term it silently a round
+/// later), before and after each wave's coverage. Every drain round pops
+/// the list dry and checks both directions of the contract: nothing is
+/// released early (every popped task's conflicting predecessors are Term)
+/// and nothing is released late (every covered task still in Init has a
+/// conflicting predecessor that is not Term).
+void rl_mixed_program_sweep(std::uint64_t seed, unsigned nshards) {
+  constexpr std::size_t kTasks = 400;
+  constexpr std::size_t kWave = 100;
+  constexpr xk::AccessMode kModes[] = {
+      xk::AccessMode::kRead, xk::AccessMode::kWrite,
+      xk::AccessMode::kReadWrite, xk::AccessMode::kCumulWrite};
+  RlFixture fx(kTasks);
+  double v[32] = {};
+  xk::Rng rng(seed);
+  // preds[j]: earlier tasks whose access conflicts with task j's.
+  std::vector<std::vector<std::size_t>> preds;
+  auto publish = [&] {
+    const std::size_t lo = rng.next() % 24;
+    const xk::AccessMode m = kModes[rng.next() % 4];
+    xk::Task* t =
+        rng.next() % 4 == 0
+            ? fx.add(xk::MemRegion::strided(&v[lo], sizeof(double), 3,
+                                            2 * sizeof(double)),
+                     m)
+            : fx.add(&v[lo], (1 + rng.next() % 8) * sizeof(double), m);
+    std::vector<std::size_t> mine;
+    for (std::size_t i = 0; i + 1 < fx.tasks.size(); ++i) {
+      if (xk::accesses_conflict(fx.tasks[i]->accesses[0], t->accesses[0])) {
+        mine.push_back(i);
+      }
+    }
+    preds.push_back(std::move(mine));
+  };
+  auto state = [&](std::size_t j) { return fx.tasks[j]->load_state(); };
+  auto deps_done = [&](std::size_t j) {
+    return std::all_of(preds[j].begin(), preds[j].end(), [&](std::size_t i) {
+      return state(i) == xk::TaskState::kTerm;
+    });
+  };
+  auto any_shard = [&] { return static_cast<unsigned>(rng.next() % nshards); };
+  auto store_term = [](xk::Task* t) {
+    t->state.store(xk::TaskState::kTerm, std::memory_order_release);
+  };
+
+  xk::ReadyList rl(fx.frame, nshards);
+  std::vector<xk::Task*> held;  // owner claims awaiting a silent Term
+  auto owner_step = [&] {
+    for (xk::Task* t : held) store_term(t);
+    held.clear();
+    int claims = 0;
+    for (std::size_t j = 0; j < fx.tasks.size() && claims < 3; ++j) {
+      if (state(j) != xk::TaskState::kInit || !deps_done(j) ||
+          rng.next() % 4 != 0) {
+        continue;
+      }
+      xk::Task* t = fx.tasks[j];
+      ASSERT_TRUE(t->try_claim(xk::TaskState::kRunOwner));
+      ++claims;
+      switch (rng.next() % 3) {
+        case 0:  // the owner saw the list: notify, then Term
+          rl.on_complete(t, any_shard());
+          store_term(t);
+          break;
+        case 1:  // it loaded ready_list before the attach: Term silently
+          store_term(t);
+          break;
+        default:  // still running: Terms silently at the next step
+          held.push_back(t);
+          break;
+      }
+    }
+  };
+
+  std::vector<xk::Task*> batch;
+  for (int round = 0;; ++round) {
+    ASSERT_LT(round, 4 * static_cast<int>(kTasks)) << "sweep made no progress";
+    for (std::size_t i = 0; i < kWave && fx.tasks.size() < kTasks; ++i) {
+      publish();
+    }
+    owner_step();  // the fresh wave is not covered yet
+    rl.extend(any_shard());
+    owner_step();
+    batch.clear();
+    const unsigned home = any_shard();
+    while (xk::Task* t = rl.pop_ready_claimed(home)) batch.push_back(t);
+    for (xk::Task* t : batch) {
+      const auto j = static_cast<std::size_t>(
+          std::find(fx.tasks.begin(), fx.tasks.end(), t) - fx.tasks.begin());
+      ASSERT_LT(j, fx.tasks.size());
+      ASSERT_TRUE(deps_done(j)) << "task " << j << " released early";
+    }
+    for (std::size_t j = 0; j < fx.tasks.size(); ++j) {
+      ASSERT_FALSE(state(j) == xk::TaskState::kInit && deps_done(j))
+          << "task " << j << " ready but never released (round " << round
+          << ")";
+    }
+    for (xk::Task* t : batch) {
+      rl.on_complete(t, any_shard());
+      store_term(t);
+    }
+    if (fx.tasks.size() == kTasks && held.empty() &&
+        std::all_of(fx.tasks.begin(), fx.tasks.end(), [](xk::Task* t) {
+          return t->load_state() == xk::TaskState::kTerm;
+        })) {
+      break;
+    }
   }
 }
 
 TEST(ReadyListGraph, MixedProgramMatchesProgramOrder) {
   // A seeded mix of every mode over overlapping, strided and partial
-  // regions, drained with the program-order check on every release.
-  constexpr std::size_t kTasks = 400;
-  for (xk::RlLockMode mode : kAllRlModes) {
-    RlFixture fx(kTasks);
-    double v[32] = {};
-    xk::Rng rng(7);
-    constexpr xk::AccessMode kModes[] = {
-        xk::AccessMode::kRead, xk::AccessMode::kWrite,
-        xk::AccessMode::kReadWrite, xk::AccessMode::kCumulWrite};
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      const std::size_t lo = rng.next() % 24;
-      const xk::AccessMode m = kModes[rng.next() % 4];
-      if (rng.next() % 4 == 0) {
-        fx.add(xk::MemRegion::strided(&v[lo], sizeof(double), 3,
-                                      2 * sizeof(double)),
-               m);
-      } else {
-        fx.add(&v[lo], (1 + rng.next() % 8) * sizeof(double), m);
-      }
+  // regions, on one and two shards.
+  for (const std::uint64_t seed : {7u, 11u, 23u, 42u, 1009u}) {
+    for (const unsigned nshards : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << ", " << nshards << " shard(s)");
+      rl_mixed_program_sweep(seed, nshards);
+      if (HasFatalFailure()) return;
     }
-    xk::ReadyList rl(fx.frame, 1, nullptr, mode);
-    rl.extend();
-    rl_drain_checked(rl, fx);
   }
 }
 

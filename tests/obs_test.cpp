@@ -109,7 +109,7 @@ TEST(TraceEmit, UnboundThreadRecordsNothing) {
   // No ring: span_begin reads no clock (returns the 0 sentinel) and the
   // emits are no-ops rather than crashes.
   EXPECT_EQ(xk::obs::span_begin(), 0u);
-  xk::obs::emit(xk::obs::Ev::kRlPush, 1, 2, 3);
+  xk::obs::emit(xk::obs::Ev::kRlPush, 1, 2);
   xk::obs::emit_span(xk::obs::Ev::kTaskOwner, 0);
 }
 

@@ -1,11 +1,11 @@
 // Service-mode concurrency hammer: N external submitter threads racing
 // cancellation against execution while M client threads open and close
-// overlapping sections on the same runtime — under all three ready-list
-// lock modes. The sanitizer CI job (which runs every label) is the real
-// gate: TSan must see clean happens-before edges across the job state
-// machine (submit -> CAS -> finish -> token wait), the section-lifecycle
-// lock (master slot claim, quiesce arm/fire, obs drain), and the WRR
-// queue, with ASan guarding the job-body/shared_ptr lifetimes.
+// overlapping sections on the same runtime. The sanitizer CI job (which
+// runs every label) is the real gate: TSan must see clean happens-before
+// edges across the job state machine (submit -> CAS -> finish -> token
+// wait), the section-lifecycle lock (master slot claim, quiesce arm/fire,
+// obs drain), and the WRR queue, with ASan guarding the job-body/shared_ptr
+// lifetimes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -42,12 +42,11 @@ bool wait_stats_settled(xk::Runtime& rt, std::chrono::seconds deadline) {
   }
 }
 
-void service_hammer(xk::RlLockMode mode) {
+TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   xk::Config c;
   c.nworkers = 4;
   c.sections = 3;  // dispatcher + two client masters, all overlapping
   c.bind_threads = false;
-  c.rl_lock = mode;
   c.svc_queue_cap = 0;  // unbounded: every submit must turn terminal
   xk::Runtime rt(c);
 
@@ -160,18 +159,6 @@ void service_hammer(xk::RlLockMode mode) {
   }
   EXPECT_EQ(rt.starvation().root_occupied(), 0);
   EXPECT_FALSE(rt.starvation().quiesce_armed());
-}
-
-TEST(ServiceHammer, SplitLockSubmittersVsOverlappingSections) {
-  service_hammer(xk::RlLockMode::kSplit);
-}
-
-TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
-  service_hammer(xk::RlLockMode::kGlobal);
-}
-
-TEST(ServiceHammer, LockFreeSubmittersVsOverlappingSections) {
-  service_hammer(xk::RlLockMode::kLockFree);
 }
 
 // Shutdown drain: destroy the runtime with hundreds of jobs still queued

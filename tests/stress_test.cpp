@@ -257,9 +257,9 @@ TEST(Stress, LongDataflowPipelines) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-level ready-list locking (PR 5): concurrent hammer suites. These run
-// in the TSan CI leg (the sanitizer job runs every label), which is the
-// real gate for the graph-mutex / shard-mutex split.
+// Ready-list concurrent hammer suites. These run in the TSan CI leg (the
+// sanitizer job runs every label), which is the real gate for the list's
+// one-mutex discipline and its lock-free depth gauges.
 // ---------------------------------------------------------------------------
 
 // White-box hammer: one frame's ReadyList under concurrent extend() +
@@ -268,9 +268,8 @@ TEST(Stress, LongDataflowPipelines) {
 // some claims (exercising the claim-race fold and the lazy watch sweep).
 // This is deliberately *stricter* than production — there, a steal mutex
 // serializes poppers per victim; here several poppers race each other on
-// purpose so the per-shard locks and the atomic npred release chain carry
-// the whole load.
-void readylist_lock_hammer(xk::RlLockMode mode) {
+// purpose so the list's mutex carries the whole load.
+TEST(Stress, ReadyListGlobalLockHammer) {
   constexpr std::uint32_t kTasks = 4096;
   constexpr std::uint32_t kSlots = 64;   // kSlots RW chains of kTasks/kSlots
   constexpr unsigned kShards = 2;        // the 1x2+1x6 shape: two domains
@@ -288,7 +287,7 @@ void readylist_lock_hammer(xk::RlLockMode mode) {
   std::atomic<std::uint32_t> terminated{0};
   std::atomic<std::uint64_t> popped{0};
   {
-    xk::ReadyList rl(frame, kShards, &board, mode);
+    xk::ReadyList rl(frame, kShards, &board);
 
     auto publish_one = [&](std::uint32_t i) {
       auto* t = new (frame.arena.allocate(sizeof(xk::Task), alignof(xk::Task)))
@@ -313,7 +312,7 @@ void readylist_lock_hammer(xk::RlLockMode mode) {
         while (terminated.load(std::memory_order_acquire) < kTasks) {
           rl.extend(home);
           // Mostly the home shard; sometimes the other rank, to force
-          // cross-shard try_lock traffic both ways.
+          // cross-shard pops both ways.
           const unsigned rank =
               rng.next() % 8 == 0 ? (home + 1) % kShards : home;
           const std::size_t got =
@@ -363,7 +362,7 @@ void readylist_lock_hammer(xk::RlLockMode mode) {
       ASSERT_EQ(t->load_state(), xk::TaskState::kTerm);
     }
     // The per-shard live-depth gauges mirror the board exactly — they are
-    // updated together under the same locks/exchanges, and any drift here
+    // updated together under the list's lock, and any drift here
     // means a settle was lost or double-counted in the storm above.
     for (unsigned s = 0; s < kShards; ++s) {
       ASSERT_EQ(rl.shard_live_depth(s), board.ready_depth(s)) << "shard " << s;
@@ -375,25 +374,6 @@ void readylist_lock_hammer(xk::RlLockMode mode) {
   EXPECT_EQ(board.ready_depth(1), 0);
 }
 
-TEST(Stress, ReadyListSplitLockHammer) {
-  readylist_lock_hammer(xk::RlLockMode::kSplit);
-}
-
-TEST(Stress, ReadyListGlobalLockHammer) {
-  readylist_lock_hammer(xk::RlLockMode::kGlobal);
-}
-
-// Lock-free leg (PR 7): the same storm, but pops drain the MPMC rings, the
-// completion path resolves nodes through the lock-free index, and the
-// npred release chain runs without any shard lock. The 4096-task waves
-// exceed kRingCapacity * kShards, so the side-deque spill path and its
-// FIFO divert rule get hammered too — under TSan this is the primary gate
-// for the ring's seq-counter release/acquire edges and the per-node edge
-// spinlock.
-TEST(Stress, ReadyListLockFreeHammer) {
-  readylist_lock_hammer(xk::RlLockMode::kLockFree);
-}
-
 // Regression for the lost release behind the hammer hangs above: a task
 // claimed while extend() was covering it — after coverage's first state
 // check, before its initially-ready check — and then terminated without
@@ -403,7 +383,7 @@ TEST(Stress, ReadyListLockFreeHammer) {
 // thread claims and silently terminates the heads from the far end, so
 // the two meet inside add_node. Afterwards pops (with their dry-list
 // sweeps) must release every successor.
-void readylist_claim_during_coverage(xk::RlLockMode mode) {
+TEST(Stress, ReadyListClaimDuringCoverageGlobal) {
   constexpr std::uint32_t kHeads = 512;
   constexpr int kReps = 40;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -424,7 +404,7 @@ void readylist_claim_during_coverage(xk::RlLockMode mode) {
       tasks.push_back(t);
       frame.push_task(t);
     }
-    xk::ReadyList rl(frame, 1, nullptr, mode);
+    xk::ReadyList rl(frame);
     std::atomic<bool> armed{false}, go{false};
     std::thread claimer([&] {
       armed.store(true);
@@ -454,29 +434,16 @@ void readylist_claim_during_coverage(xk::RlLockMode mode) {
   }
 }
 
-TEST(Stress, ReadyListClaimDuringCoverageGlobal) {
-  readylist_claim_during_coverage(xk::RlLockMode::kGlobal);
-}
-
-TEST(Stress, ReadyListClaimDuringCoverageSplit) {
-  readylist_claim_during_coverage(xk::RlLockMode::kSplit);
-}
-
-TEST(Stress, ReadyListClaimDuringCoverageLockFree) {
-  readylist_claim_during_coverage(xk::RlLockMode::kLockFree);
-}
-
 // End-to-end: dataflow chains on the asymmetric 1x2+1x6 shape with a tiny
 // attach threshold, so real steal rounds attach, extend, pop and complete
-// sharded ready lists across both domains — under both lock modes. (The CI
-// topo matrix also runs this whole suite with XK_TOPO exported; the
-// explicit Config fields here make the shape deterministic even without.)
-void readylist_runtime_hammer(xk::RlLockMode mode) {
+// sharded ready lists across both domains. (The CI topo matrix also runs
+// this whole suite with XK_TOPO exported; the explicit Config fields here
+// make the shape deterministic even without.)
+TEST(Stress, ReadyListGlobalLockAsymmetricTopo) {
   xk::Config c = cfg(8);
   c.topo = "1x2+1x6";
   c.place = "scatter";
   c.ready_list_threshold = 8;
-  c.rl_lock = mode;
   xk::Runtime rt(c);
   constexpr int kRows = 16, kSteps = 40, kSections = 3;
   std::vector<double> cells(kRows, 0.0);
@@ -492,18 +459,6 @@ void readylist_runtime_hammer(xk::RlLockMode mode) {
     });
   }
   for (double v : cells) ASSERT_EQ(v, 1.0 * kSteps * kSections);
-}
-
-TEST(Stress, ReadyListSplitLockAsymmetricTopo) {
-  readylist_runtime_hammer(xk::RlLockMode::kSplit);
-}
-
-TEST(Stress, ReadyListGlobalLockAsymmetricTopo) {
-  readylist_runtime_hammer(xk::RlLockMode::kGlobal);
-}
-
-TEST(Stress, ReadyListLockFreeAsymmetricTopo) {
-  readylist_runtime_hammer(xk::RlLockMode::kLockFree);
 }
 
 // ---------------------------------------------------------------------------
