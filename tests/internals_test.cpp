@@ -468,6 +468,35 @@ TEST(ReadyListShard, BoardTracksShardDepths) {
   EXPECT_EQ(board.ready_depth(1), 0);
 }
 
+// Replays the claim-race fold scenario of ClaimedElsewhereTermFoldsInOrder
+// through the batch pop and pins the same order the single pop gives:
+// the silently finished t0 folds inline and its successor t1 is released
+// behind the already-ready t2. The name dates from when this compared the
+// global and split lock modes; with one lock left it pins that the two pop
+// entry points cannot drift apart.
+TEST(ReadyListLock, GlobalAndSplitAgreeOnPopOrder) {
+  RlFixture fx;
+  double chain = 0, other = 0;
+  xk::Task* t0 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
+  xk::Task* t1 = fx.add(&chain, 8, xk::AccessMode::kReadWrite);
+  xk::Task* t2 = fx.add(&other, 8, xk::AccessMode::kWrite);
+  xk::ReadyList rl(fx.frame);
+  rl.extend();
+  ASSERT_TRUE(t0->try_claim(xk::TaskState::kRunOwner));
+  t0->state.store(xk::TaskState::kTerm);  // silent: no on_complete
+  xk::Task* out[1] = {};
+  std::uint64_t hits = 0, misses = 0;
+  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 0, &hits, &misses), 1u);
+  EXPECT_EQ(out[0], t2);
+  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 0, &hits, &misses), 1u);
+  EXPECT_EQ(out[0], t1);
+  EXPECT_GE(rl.missed_folds(), 1u);
+  EXPECT_EQ(rl.pop_ready_claimed_batch(out, 1, 0, &hits, &misses), 0u);
+  // One shard: the hit/miss split is not counted at all.
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(misses, 0u);
+}
+
 // Single-pop shard telemetry (PR 7 satellite): the convenience single-task
 // pop_ready_claimed must attribute its cross-shard fallback exactly like
 // the batch form — a pop served by the home shard is a hit, one served by
