@@ -50,7 +50,6 @@ struct Variant {
   const char* name;
   bool aggregation;
   std::size_t readylist_threshold;
-  bool adaptive;
 };
 
 }  // namespace
@@ -64,18 +63,13 @@ int main() {
       "XKREPRO_ABL_CORES",
       static_cast<std::int64_t>(xkbench::core_counts().back())));
 
-  // The four historical variants pin steal_adaptive off so their series
-  // stay comparable across the PR trajectory (fixed XK_STEAL_BATCH deals,
-  // the pre-adaptive protocol); the fifth turns the feedback-sized
-  // steal-one/steal-half protocol on over the full configuration. The
-  // ready-list variants use the default attach threshold.
+  // The ready-list variants use the default attach threshold.
   const std::size_t rl = xk::Config{}.ready_list_threshold;
   const Variant variants[] = {
-      {"full (agg+RL)", true, rl, false},
-      {"no-aggregation", false, rl, false},
-      {"no-readylist", true, 0, false},
-      {"neither", false, 0, false},
-      {"adaptive (agg+RL)", true, rl, true},
+      {"full (agg+RL)", true, rl},
+      {"no-aggregation", false, rl},
+      {"no-readylist", true, 0},
+      {"neither", false, 0},
   };
 
   // Unrecorded process warmup: the first variant otherwise pays the cold
@@ -103,7 +97,6 @@ int main() {
     cfg.nworkers = cores;
     cfg.steal_aggregation = v.aggregation;
     cfg.ready_list_threshold = v.readylist_threshold;
-    cfg.steal_adaptive = v.adaptive;
     xk::Runtime rt(cfg);
 
     // Workload 1: fib.
@@ -128,8 +121,6 @@ int main() {
                             {"readylist_pops", s.readylist_pops},
                             {"parks", s.parks},
                             {"park_wakes", s.park_wakes},
-                            {"steals_half", s.steals_half},
-                            {"adaptive_flips", s.adaptive_flips},
                             {"probes_skipped", s.probes_skipped},
                             {"quiesce_folds", s.quiesce_folds},
                             {"join_wakes", s.join_wakes}});
@@ -160,8 +151,6 @@ int main() {
                             {"readylist_pops", s.readylist_pops},
                             {"parks", s.parks},
                             {"park_wakes", s.park_wakes},
-                            {"steals_half", s.steals_half},
-                            {"adaptive_flips", s.adaptive_flips},
                             {"probes_skipped", s.probes_skipped},
                             {"quiesce_folds", s.quiesce_folds},
                             {"join_wakes", s.join_wakes}});

@@ -7,12 +7,14 @@
 //  * fib-tail — a fork-join recursion (each node spawns one child with a
 //    Write access and recurses inline). Work per task is near zero, so the
 //    run time is dominated by spawn + steal protocol cost: request posting,
-//    combiner election, batched replies, and idle parking once the tree
+//    combiner election, one-task replies, and idle parking once the tree
 //    thins out.
 //  * dataflow-grid — `rows` independent RW chains of length `steps`,
 //    interleaved in program order. Steal-time readiness computation has to
 //    skip blocked candidates, so this shape measures the incremental scan
-//    cache and (at small ready-list thresholds) the accelerated pop path.
+//    cache. It seldom attaches a ready list (the `readylist_attach` counter
+//    reads 0 in most rows), so it is not a measure of the ready-list pop
+//    path.
 //
 // All worker counts run the same total work on the same machine; the
 // *shape* of the curve (flat ≈ healthy steal path on an oversubscribed box,
@@ -133,31 +135,6 @@ int main() {
     add_counter_row(table, "dataflow-grid", cores, t_grid, s);
   }
 
-  // Steal-width ablation (XK_STEAL_ADAPTIVE): the dataflow grid under the
-  // feedback-sized adaptive protocol vs the fixed XK_STEAL_BATCH deal. The
-  // identical workload runs in both modes; the adaptive series must not
-  // lose to fixed (CI gates it at 8 workers with check_scaling.py
-  // --baseline-series). The
-  // adaptive counters (steals_half / adaptive_flips / probes_skipped)
-  // land in the JSON alongside the timing.
-  for (unsigned cores : xkbench::core_counts()) {
-    for (const bool adaptive : {false, true}) {
-      xk::Config cfg = xk::Config::from_env();
-      cfg.nworkers = cores;
-      cfg.steal_adaptive = adaptive;
-      xk::Runtime rt(cfg);
-      rt.reset_stats();
-      std::vector<double> cells(static_cast<std::size_t>(rows), 1.0);
-      const char* name = adaptive ? "dataflow-grid-steal-adaptive"
-                                  : "dataflow-grid-steal-fixed";
-      xkbench::json_context(name, cores);
-      const double t = xkbench::time_best(
-          [&] { rt.run([&] { dataflow_grid(cells, rows, steps, work); }); });
-      const xk::WorkerStats s = rt.stats_snapshot();
-      xkbench::json_counters(rt.metrics_snapshot());
-      add_counter_row(table, name, cores, t, s);
-    }
-  }
   table.print_auto(std::cout);
   return 0;
 }

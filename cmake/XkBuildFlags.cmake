@@ -27,6 +27,14 @@ if(XK_SANITIZE)
   target_compile_options(xk_build_flags INTERFACE
     -fsanitize=${XK_SANITIZE} -fno-omit-frame-pointer -g)
   target_link_options(xk_build_flags INTERFACE -fsanitize=${XK_SANITIZE})
+  if(XK_SANITIZE STREQUAL "undefined")
+    # Abort on the first report: recoverable UBSan only prints
+    # "runtime error" and the test still passes.
+    target_compile_options(xk_build_flags INTERFACE
+      -fno-sanitize-recover=undefined)
+    target_link_options(xk_build_flags INTERFACE
+      -fno-sanitize-recover=undefined)
+  endif()
 endif()
 
 if(XK_LTO)

@@ -13,9 +13,8 @@ with --baseline-series the check becomes
     median(--series @ --fast) / median(--baseline-series @ --fast)
         <= --max-ratio
 
-(<=, not <: a tie passes — "must not lose", not "must win"). CI uses this
-for the steal-width ablation: the XK_STEAL_ADAPTIVE series must not lose
-to the fixed-batch baseline.
+(<=, not <: a tie passes — "must not lose", not "must win"), e.g. an
+ablation variant against the full configuration in the same report.
 
 A third mode gates across *files*: --baseline-file reads the baseline
 series from a second schema-v1 report instead of the same one. Combined
@@ -41,9 +40,9 @@ Exit codes: 0 ok, 1 scaling regression, 2 malformed/missing input.
 Examples:
   scripts/check_scaling.py BENCH_fig1_fib.json --series XKaapi \
       --slow 1 --fast 8 --max-ratio 1.0
-  scripts/check_scaling.py BENCH_micro_steal.json \
-      --series dataflow-grid-steal-adaptive \
-      --baseline-series dataflow-grid-steal-fixed --fast 8 --max-ratio 1.15
+  scripts/check_scaling.py BENCH_ablation_steal.json \
+      --series "dataflow-grid/full (agg+RL)" \
+      --baseline-series "dataflow-grid/neither" --fast 8 --max-ratio 1.0
   scripts/check_scaling.py BENCH_spawn_obs.json --series "BM_spawn/8" \
       --baseline-file BENCH_spawn_noobs.json --fast 8 --max-ratio 1.05
   scripts/check_scaling.py BENCH_micro_service.json --series open-loop \

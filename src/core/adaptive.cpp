@@ -5,9 +5,8 @@ namespace xk {
 bool SplitContext::reply_raw(Task* t) {
   if (next_ >= n_) return false;
   StealRequest* slot = slots_[next_++];
-  slot->reply[0] = t;
-  slot->reply_frame[0] = nullptr;  // heap task: no ready-list notification
-  slot->nreplies = 1;
+  slot->reply = t;
+  slot->reply_frame = nullptr;  // heap task: no ready-list notification
   slot->status.store(StealRequest::kServed, std::memory_order_release);
   return true;
 }

@@ -42,31 +42,6 @@ struct Config {
   /// Low values keep oversubscribed (threads > cores) runs healthy.
   int steal_backoff = 16;
 
-  /// Max tasks handed to one thief per steal reply when they come cheap
-  /// (ready-list pops). Amortizes the request/reply handshake; clamped to
-  /// [1, StealRequest::kMaxBatch]. 1 restores one-task-per-steal. Under
-  /// steal_adaptive this is only the self-reply width of the fixed
-  /// baseline; adaptive replies are sized from the victim's ready depth.
-  std::size_t steal_batch = 4;
-
-  /// Adaptive steal-one/steal-half reply sizing (XK_STEAL_ADAPTIVE). Each
-  /// thief carries a feedback bit on its posted request: a thief that comes
-  /// back begging immediately after executing its whole reply asks for half
-  /// of the victim's ready work next time; one whose stolen subtree fanned
-  /// out into more local work than it received drops back to steal-one. The
-  /// combiner sizes replies from the shard depth and the number of pending
-  /// thieves instead of the fixed steal_batch split. Off restores the
-  /// fixed-batch deal exactly (the ablation baseline).
-  bool steal_adaptive = true;
-
-  /// Victim occupancy hints (XK_OCC_HINT): thieves consult the occupancy
-  /// board's per-worker "has work" bit — published only on the worker's
-  /// 0<->1 frame-depth transitions, so the line stays read-mostly — instead
-  /// of loading every candidate victim's hot depth word during the draw.
-  /// Provably-empty victims are skipped without touching their queues or
-  /// locks (counted as probes_skipped). Off restores the depth probe.
-  bool occupancy_hint = true;
-
   /// Consecutive failed steal attempts before an idle worker parks on the
   /// runtime's Parker (bounded exponential sleep, woken on task publication).
   /// Must exceed steal_backoff; 0 disables parking (pure spin/yield).

@@ -30,8 +30,7 @@
 // acquire are the edge handing the finisher's writes to whoever claims a
 // released successor. The only fields read without it are the per-shard
 // `depth` gauges (approx_ready, shard_live_depth): relaxed snapshots that
-// size a steal reply or gate the owner's help loop, never a correctness
-// decision.
+// gate the owner's help loop, never a correctness decision.
 #pragma once
 
 #include <atomic>
@@ -81,8 +80,7 @@ class ReadyList {
                           std::uint64_t* shard_misses = nullptr);
 
   /// Pops and claims up to `max` ready tasks under one lock acquisition
-  /// (the batched-reply path: one combiner pass hands every waiting thief
-  /// work). Pops drain the popper's own `shard` oldest-first before
+  /// (the combiner's pour: one task per waiting thief in one pass). Pops drain the popper's own `shard` oldest-first before
   /// crossing into other shards (rank order, wrapping);
   /// `shard_hits`/`shard_misses`, when non-null, are incremented per pop
   /// with the local/cross split. Returns the number of tasks written to
@@ -100,10 +98,9 @@ class ReadyList {
   void on_complete(Task* t, unsigned shard = 0);
 
   /// Approximate live ready depth summed over every shard (relaxed reads
-  /// of the per-shard depth gauges, no lock): the adaptive combiner's
-  /// steal-half sizing input and the owner's "anything to help with?"
-  /// probe. Staleness only skews a reply size by a task or two — the pop
-  /// itself runs under the lock.
+  /// of the per-shard depth gauges, no lock): the owner's "anything to
+  /// help with?" probe. Staleness only costs one empty pop or one missed
+  /// help round — the pop itself runs under the lock.
   std::int64_t approx_ready() const {
     std::int64_t total = 0;
     for (const Shard& s : shards_) {

@@ -48,9 +48,6 @@ Config Config::from_env() {
       env_size("XK_READYLIST_THRESHOLD", cfg.ready_list_threshold);
   cfg.renaming = env_bool("XK_RENAMING", false);
   cfg.steal_backoff = static_cast<int>(env_int("XK_BACKOFF", cfg.steal_backoff));
-  cfg.steal_batch = env_size("XK_STEAL_BATCH", cfg.steal_batch);
-  cfg.steal_adaptive = env_bool("XK_STEAL_ADAPTIVE", cfg.steal_adaptive);
-  cfg.occupancy_hint = env_bool("XK_OCC_HINT", cfg.occupancy_hint);
   cfg.park_threshold =
       static_cast<int>(env_int("XK_PARK_THRESHOLD", cfg.park_threshold));
   cfg.topo = env_string("XK_TOPO").value_or(cfg.topo);

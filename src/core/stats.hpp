@@ -58,8 +58,6 @@ namespace xk {
   X(parks)                    \
   X(park_wakes)               \
   X(probes_skipped)           \
-  X(adaptive_flips)           \
-  X(steals_half)              \
   X(quiesce_folds)            \
   X(join_wakes)               \
   X(foreach_chunks)           \
@@ -98,9 +96,7 @@ struct WorkerStats {
   std::uint64_t parks = 0;             ///< times this worker went to sleep idle
   std::uint64_t park_wakes = 0;        ///< parks ended by a notification (rest timed out)
   std::uint64_t probes_skipped = 0;    ///< victim draws that skipped a candidate on
-                                       ///  its cleared occupancy bit (XK_OCC_HINT)
-  std::uint64_t adaptive_flips = 0;    ///< steal-one <-> steal-half feedback flips
-  std::uint64_t steals_half = 0;       ///< successful steals posted in steal-half mode
+                                       ///  its cleared occupancy bit
   std::uint64_t quiesce_folds = 0;     ///< occupancy fold levels climbed by this
                                        ///  worker's 0<->1 depth transitions
   std::uint64_t join_wakes = 0;        ///< targeted wakes of a registered join

@@ -1,6 +1,6 @@
 // Worker implementation: FIFO owner execution, the steal protocol with
 // request aggregation, incremental steal-time readiness computation,
-// batched replies, renaming, idle parking, and the ready-list integration.
+// renaming, idle parking, and the ready-list integration.
 // See worker.hpp for the protocol overview.
 #include "core/worker.hpp"
 
@@ -41,11 +41,7 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
       id_(id),
       backoff_limit_(rt.config().steal_backoff),
       park_threshold_(rt.config().park_threshold),
-      steal_batch_(std::clamp<std::size_t>(rt.config().steal_batch, 1,
-                                           StealRequest::kMaxBatch)),
       reclaim_enabled_(!rt.config().renaming),
-      adaptive_steal_(rt.config().steal_adaptive),
-      occ_hint_(rt.config().occupancy_hint),
       work_parker_(&rt.work_parker()),
       progress_parker_(&rt.progress_parker()),
       frames_(kMaxDepth),
@@ -170,10 +166,6 @@ class CwBodyGuard {
 }  // namespace
 
 void Worker::run_task(Task* t, Frame* src, bool stolen) {
-  // Adaptive feedback input: everything run since the last successful
-  // steal — stolen children fanning out locally included — counts as work
-  // the reply seeded (see next_stealhalf).
-  ++run_since_steal_;
   if (stolen) {
     // The caller already won the StolenClaim -> RunThief CAS (the second
     // arbitration point against a frame owner's reclaim; see
@@ -497,93 +489,54 @@ bool Worker::try_steal_once() {
   // the post so combiner self-election time is attributed to the request.
   const std::uint64_t req_t0 = obs::span_begin();
 
-  if (adaptive_steal_) {
-    // Evaluate the steal-width feedback once per posted request: the last
-    // successful reply's size against everything run since. Failed rounds
-    // (last_reply_tasks_ == 0) keep the current width.
-    const bool next =
-        next_stealhalf(stealhalf_, last_reply_tasks_, run_since_steal_);
-    if (next != stealhalf_) {
-      stealhalf_ = next;
-      stats_->adaptive_flips++;
-    }
-    last_reply_tasks_ = 0;
-  }
-
   StealRequest& slot = victim->request_slot(id_);
-  slot.nreplies = 0;
-  slot.stealhalf = adaptive_steal_ && stealhalf_;
   // Idle = nothing on the frame stack (a pure thief). A suspended owner
   // helping while it waits still holds runnable work, so scarce combiners
   // serve it last.
   slot.idle = depth_.load(std::memory_order_relaxed) == 0;
   // Release suffices (down from seq_cst): the combiner's acquire load of
-  // the status sees the cleared reply fields (and the request bits above),
-  // and a combiner that misses the post entirely is benign — the thief
-  // keeps spinning and, when the mutex frees up, elects itself and serves
-  // its own slot.
+  // the status sees the idle bit above, and a combiner that misses the
+  // post entirely is benign — the thief keeps spinning and, when the mutex
+  // frees up, elects itself and serves its own slot.
   slot.status.store(StealRequest::kPosted, std::memory_order_release);
 
   int spins = 0;
   for (;;) {
     const int s = slot.status.load(std::memory_order_acquire);
     if (s == StealRequest::kServed) {
-      // Start-claim every reply (StolenClaim -> RunThief) *while the slot
-      // is still Served*: the victim's pop_frame treats a Served slot as a
+      // Start-claim the reply (StolenClaim -> RunThief) *while the slot is
+      // still Served*: the victim's pop_frame treats a Served slot as a
       // live reference into its frames, and a task we won cannot reach
       // Term without us, pinning its frame past this point. A task whose
       // CAS fails was reclaimed by the frame owner (wait_and_finalize) —
-      // drop it before the slot clears and never touch it again.
-      const std::uint32_t n = slot.nreplies;
-      Task* tasks[StealRequest::kMaxBatch];
-      Frame* frames[StealRequest::kMaxBatch];
-      std::uint32_t won = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Task* t = slot.reply[i];
-        Frame* fr = slot.reply_frame[i];
-        if (t->heap_owned() && fr == nullptr) {
-          // Fresh splitter reply: unclaimed, exclusively ours.
-          tasks[won] = t;
-          frames[won] = nullptr;
-          ++won;
-          continue;
-        }
-        TaskState expected = TaskState::kStolenClaim;
-        if (t->state.compare_exchange_strong(expected, TaskState::kRunThief,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          tasks[won] = t;
-          frames[won] = fr;
-          ++won;
-        }
-      }
+      // drop it before the slot clears and never touch it again. A fresh
+      // splitter reply (heap task, no frame) is unclaimed and ours alone.
+      Task* const t = slot.reply;
+      Frame* const fr = slot.reply_frame;
+      TaskState expected = TaskState::kStolenClaim;
+      const bool won =
+          (t->heap_owned() && fr == nullptr) ||
+          t->state.compare_exchange_strong(expected, TaskState::kRunThief,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire);
       // Release: the victim's pop_frame acquires this store when draining
       // in-flight replies before a frame reset (stale-reply protection).
       slot.status.store(StealRequest::kEmpty, std::memory_order_release);
       stats_->steals_ok++;
-      stats_->steal_tasks += won;
+      if (won) stats_->steal_tasks++;
       const bool remote = victim->domain() != domain_;
       if (remote) {
         stats_->steals_remote++;
       } else {
         stats_->steals_local++;
       }
-      obs::emit_span(obs::Ev::kStealServed, req_t0, victim->id(), won,
+      obs::emit_span(obs::Ev::kStealServed, req_t0, victim->id(), won ? 1 : 0,
                      remote ? 1 : 0);
       // Any success re-engages the local-first preference and clears the
       // domain's shared failed-round gauge (work is reaching it again).
       local_fails_ = 0;
       if (starve_rounds_ > 0) starvation_->record_progress(domain_rank_);
-      if (adaptive_steal_ && won != 0) {
-        // Reset the feedback window: the flip decision at the next post
-        // compares this reply's size against what it seeds.
-        last_reply_tasks_ = won;
-        run_since_steal_ = 0;
-        if (slot.stealhalf) stats_->steals_half++;
-      }
-      for (std::uint32_t i = 0; i < won; ++i) {
-        execute_reply(tasks[i], frames[i]);
-      }
+      if (won) execute_reply(t, fr);
       return true;
     }
     if (s == StealRequest::kFailed) {
@@ -598,18 +551,21 @@ bool Worker::try_steal_once() {
       }
       return false;
     }
-    if (victim->steal_mutex_.try_lock()) {
-      victim->scanning_.store(true, std::memory_order_seq_cst);
-      combine_on(*victim);
-      victim->scanning_.store(false, std::memory_order_release);
-      victim->steal_mutex_.unlock();
-      continue;  // our own slot is now Served or Failed
-    }
+    if (try_combine(*victim)) continue;  // our slot is now Served or Failed
     if (++spins > 64) {
       std::this_thread::yield();
       spins = 0;
     }
   }
+}
+
+bool Worker::try_combine(Worker& victim) {
+  if (!victim.steal_mutex_.try_lock()) return false;
+  victim.scanning_.store(true, std::memory_order_seq_cst);
+  combine_on(victim);
+  victim.scanning_.store(false, std::memory_order_release);
+  victim.steal_mutex_.unlock();
+  return true;
 }
 
 void Worker::execute_reply(Task* t, Frame* src) {
@@ -801,18 +757,8 @@ Readiness Worker::check_ready(Worker& victim, std::uint64_t round,
 // unserved thief's request simply fails and is re-posted, and the next
 // combiner round re-pours.
 void Worker::pour_ready_list(ReadyList& rl, Frame& f,
-                             std::size_t pool_target, std::size_t npending) {
+                             std::size_t pool_target) {
   if (reply_scratch_.size() >= pool_target) return;
-  if (adaptive_steal_) {
-    // Steal-half cap per list: grant the one-each floor, then take half of
-    // the remaining live depth and leave the victim the other half (the
-    // relaxed depth gauge can lag — adaptive_take_cap still probes one pop
-    // on a stale zero so the deal cannot starve).
-    const std::size_t cap =
-        adaptive_take_cap(rl.approx_ready(), npending);
-    pool_target = std::min(pool_target, reply_scratch_.size() + cap);
-    if (reply_scratch_.size() >= pool_target) return;
-  }
   batch_scratch_.resize(pool_target - reply_scratch_.size());
   const std::size_t got = rl.pop_ready_claimed_batch(
       batch_scratch_.data(), batch_scratch_.size(), domain_rank_,
@@ -842,8 +788,7 @@ std::size_t Worker::deal_pool(std::vector<PendingReq>& pending,
     // equally-idle thief of a healthy domain (the common flat-machine
     // round) the order is untouched. The combiner's own slot gets no
     // special treatment: if it ends up past the receiver window, the deal
-    // below hands one task to each receiver and strands nothing (see the
-    // stranding note).
+    // below still hands one task to each receiver and strands nothing.
     const auto thr = static_cast<std::uint64_t>(starve_rounds_);
     std::vector<PendingReq>& scratch = deal_scratch_;
     scratch.resize(remaining);
@@ -871,87 +816,23 @@ std::size_t Worker::deal_pool(std::vector<PendingReq>& pending,
                 pending.begin() + static_cast<std::ptrdiff_t>(served));
     }
   }
-  // Want-honoring deal. Pass 1: every receiver gets one distinct task
-  // (steal-one semantics never fail a thief the pool can cover). Pass 2:
-  // the surplus tops receivers up to their want — the combiner's own slot
-  // first (it executes immediately after releasing the mutex, so a large
-  // batch there never strands claimed work), then steal-half thieves
-  // round-robin. In fixed mode every other want is 1, so pass 2 feeds the
-  // self slot only and the deal reproduces the old steal-k split exactly.
-  // Handing multi-task batches to other thieves parks claimed chain heads
-  // on threads that may be descheduled; that risk is what the feedback bit
-  // gates — only a thief that proved it drains full replies asks for more.
-  const std::size_t receivers = std::min(remaining, pool.size());
-  std::vector<std::uint32_t>& alloc = alloc_scratch_;
-  alloc.assign(receivers, 1);
-  std::size_t avail = pool.size() - receivers;
-  std::size_t self_r = receivers;  // index of our own slot, if it received
+  // One task per receiver. Hand the *youngest* pooled tasks to the other
+  // thieves and keep the oldest for our own slot: we execute immediately,
+  // so the oldest work — whose program-order successors the victim's drain
+  // reaches first — starts with no pickup latency, while a
+  // briefly-descheduled peer only delays work the drain is farthest from.
+  // The pool never exceeds the unserved requests (the pour targets), so
+  // nothing claimed is ever stranded in it.
+  assert(pool.size() <= remaining);
+  const std::size_t receivers = pool.size();
+  std::size_t back = receivers;  // youngest not-yet-assigned task
   for (std::size_t r = 0; r < receivers; ++r) {
-    if (pending[served + r].slot == self_slot) {
-      self_r = r;
-      break;
-    }
-  }
-  if (self_r != receivers) {
-    const std::uint32_t want = pending[served + self_r].want;
-    const auto extra = static_cast<std::uint32_t>(
-        std::min<std::size_t>(avail, want > 1 ? want - 1 : 0));
-    alloc[self_r] += extra;
-    avail -= extra;
-  }
-  for (bool progress = true; avail != 0 && progress;) {
-    progress = false;
-    for (std::size_t r = 0; r < receivers && avail != 0; ++r) {
-      if (r == self_r || alloc[r] >= pending[served + r].want) continue;
-      ++alloc[r];
-      --avail;
-      progress = true;
-    }
-  }
-  // avail is now 0: the pour targets never exceed the summed wants of the
-  // unserved requests, and with pool.size() > receivers every request is a
-  // receiver, so the wants can absorb the whole pool — nothing claimed is
-  // ever stranded in the scratch.
-  assert(avail == 0);
-  for (std::size_t r = 0; avail != 0 && r < receivers; ++r) {
-    // Unreachable by the invariant above; kept so a future pour-target bug
-    // can only over-serve a thief (capped by the reply array), never leak
-    // a claimed task out of the scheduler.
-    const auto extra = static_cast<std::uint32_t>(std::min<std::size_t>(
-        avail, StealRequest::kMaxBatch - alloc[r]));
-    alloc[r] += extra;
-    avail -= extra;
-  }
-  // Hand the *youngest* pooled tasks to the other thieves and keep the
-  // oldest for our own slot: we execute immediately, so the oldest work —
-  // whose program-order successors the victim's drain reaches first —
-  // starts with no pickup latency, while a briefly-descheduled peer only
-  // delays work the drain is farthest from.
-  std::size_t back = pool.size();  // youngest not-yet-assigned task
-  for (std::size_t r = 0; r < receivers; ++r) {
-    if (r == self_r) continue;  // filled below from the front of the pool
     StealRequest* s = pending[served + r].slot;
-    const std::uint32_t n = alloc[r];
-    back -= n;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      s->reply[k] = pool[back + k].task;
-      s->reply_frame[k] = pool[back + k].frame;
-    }
-    s->nreplies = n;
+    const PooledReply& reply = s == self_slot ? pool[0] : pool[--back];
+    s->reply = reply.task;
+    s->reply_frame = reply.frame;
   }
-  if (self_r != receivers) {
-    // Our slot takes the remaining pool[0..back): the oldest tasks plus
-    // whatever surplus pass 2 granted.
-    assert(back == alloc[self_r]);
-    StealRequest* s = pending[served + self_r].slot;
-    std::uint32_t n = 0;
-    for (std::size_t i = 0; i < back; ++i, ++n) {
-      s->reply[n] = pool[i].task;
-      s->reply_frame[n] = pool[i].frame;
-    }
-    s->nreplies = n;
-  }
-  // Publish only after every reply array is complete.
+  // Publish only after every reply is written.
   for (std::size_t r = 0; r < receivers; ++r) {
     pending[served + r].slot->status.store(StealRequest::kServed,
                                            std::memory_order_release);
@@ -971,18 +852,7 @@ void Worker::combine_on(Worker& victim) {
     StealRequest& s = victim.request_slot(i);
     if (s.status.load(std::memory_order_acquire) == StealRequest::kPosted) {
       if (aggregate || i == id_) {
-        // Reply-size ceiling per request. Fixed mode: one task per other
-        // thief, the steal_batch surplus for our own slot (we execute it
-        // immediately). Adaptive mode: the request's stealhalf bit asks
-        // for up to a full reply array; the pour's depth cap decides how
-        // much of that ceiling a round can actually fund.
-        std::uint32_t want = 1;
-        if (adaptive_steal_) {
-          if (s.stealhalf) want = StealRequest::kMaxBatch;
-        } else if (&s == self_slot) {
-          want = static_cast<std::uint32_t>(steal_batch_);
-        }
-        pending.push_back({&s, rt_.worker(i).domain_rank(), want, s.idle});
+        pending.push_back({&s, rt_.worker(i).domain_rank(), s.idle});
       }
     }
   }
@@ -996,19 +866,12 @@ void Worker::combine_on(Worker& victim) {
   const std::uint32_t depth = victim.depth_acquire();
   std::vector<Task*>& adaptives = adaptive_scratch_;
   adaptives.clear();
-  // Pooling: one traversal claims up to the summed reply ceilings into the
-  // pool; a single deal after the loop serves every thief. The walk still
-  // stops early — once the pool is full there is nothing left to look for.
-  auto pool_target_for = [&](std::size_t served_now) {
-    std::size_t t = 0;
-    for (std::size_t i = served_now; i < pending.size(); ++i) {
-      t += pending[i].want;
-    }
-    return t;
-  };
+  // Pooling: one traversal claims one task per pending request into the
+  // pool; a single deal after the loop serves every thief. The walk stops
+  // early — once the pool is full there is nothing left to look for.
   std::vector<PooledReply>& pool = reply_scratch_;
   pool.clear();
-  const std::size_t pool_target = pool_target_for(0);
+  const std::size_t pool_target = pending.size();
   std::size_t scanned_blocked = 0;
   Frame* hottest = nullptr;
   std::size_t hottest_blocked = 0;
@@ -1021,7 +884,7 @@ void Worker::combine_on(Worker& victim) {
     if (ReadyList* rl = f.ready_list.load(std::memory_order_acquire)) {
       // Accelerated path (§II-C): the list is authoritative for this frame.
       rl->extend(domain_rank_);
-      pour_ready_list(*rl, f, pool_target, pending.size() - served);
+      pour_ready_list(*rl, f, pool_target);
       continue;
     }
 
@@ -1137,14 +1000,13 @@ void Worker::combine_on(Worker& victim) {
     rl->extend(domain_rank_);
     stats_->readylist_attach++;
     obs::emit(obs::Ev::kRlAttach, hottest->size_acquire());
-    pour_ready_list(*rl, *hottest, pool_target_for(served),
-                    pending.size() - served);
+    pour_ready_list(*rl, *hottest, pending.size() - served);
     served = deal_pool(pending, served, self_slot);
   }
 
   stats_->requests_served += served;
   for (std::size_t i = 0; i < served; ++i) {
-    if (pending[i].slot != &victim.request_slot(id_)) {
+    if (pending[i].slot != self_slot) {
       stats_->requests_aggregated++;
     }
   }

@@ -51,59 +51,26 @@ inline Worker* this_worker() { return detail::tls_worker; }
 /// A steal request slot: thief `i` posts into victim's box slot `i`; the
 /// combiner answers every posted slot before releasing the steal mutex.
 ///
-/// A reply carries up to kMaxBatch (task, frame) pairs: when ready tasks
-/// come cheap (ready-list pops) the combiner hands a thief several in one
-/// handshake, amortizing the post/spin/serve round trip. All reply fields
-/// are written by the combiner before the kServed release store and read by
-/// the thief after its acquire load of the status. The request-side fields
-/// (`stealhalf`, `idle`) are the tasking-2.0-style bits the thief writes
-/// before the kPosted release store; the combiner reads them after its
-/// acquire load of the status (see docs/STEALING.md).
+/// A served request carries exactly one task (docs/STEALING.md, "One task
+/// per request"). The reply fields are written by the combiner before the
+/// kServed release store and read by the thief after its acquire load of
+/// the status. The request-side `idle` bit is written by the thief before
+/// the kPosted release store; the combiner reads it after its acquire load
+/// of the status.
 struct StealRequest {
   enum Status : int { kEmpty = 0, kPosted, kServed, kFailed };
-  static constexpr std::uint32_t kMaxBatch = 8;
   std::atomic<int> status{kEmpty};
-  std::uint32_t nreplies = 0;
-  /// Thief asks for half of the victim's ready work (adaptive feedback bit;
-  /// false = steal-one). Meaningful only under XK_STEAL_ADAPTIVE.
-  bool stealhalf = false;
   /// Thief has an empty frame stack (a pure idle thief, not a suspended
   /// owner helping while it waits). Scarce combiners serve idle thieves
   /// before suspended ones, which still hold runnable work of their own.
   bool idle = false;
-  Task* reply[kMaxBatch] = {};
-  Frame* reply_frame[kMaxBatch] = {};  ///< source frame per task (for ready-list notify); null for heap tasks
+  Task* reply = nullptr;
+  Frame* reply_frame = nullptr;  ///< source frame (for ready-list notify); null for heap tasks
 };
 
-/// Next value of a thief's steal-half feedback bit, evaluated just before
-/// it posts a new request (XK_STEAL_ADAPTIVE; pure so tests can pin the
-/// flip conditions). `received` is the size of the thief's last successful
-/// reply (0 = the previous round failed: keep the current width), and
-/// `executed` counts every task the thief ran since that reply. Executing
-/// no more than what was received means the stolen subtree fanned out into
-/// nothing and the thief is back begging immediately — ask for half next
-/// time; executing more means the reply seeded enough local work — drop
-/// back to steal-one and leave the victim its locality.
-constexpr bool next_stealhalf(bool current, std::uint32_t received,
-                              std::uint64_t executed) {
-  if (received == 0) return current;
-  return executed <= received;
-}
-
-/// How many tasks an adaptive combiner may drain from a ready list holding
-/// `depth` live tasks while `npending` requests wait (pure; the steal-half
-/// cap pour_ready_list applies per list). One task per pending thief is
-/// always grantable — steal-one semantics never fail a thief just to hoard
-/// — and of the remainder the victim keeps half. A non-positive `depth`
-/// (the relaxed gauge can lag pushes) still probes one pop so a stale
-/// gauge cannot starve the deal.
-constexpr std::size_t adaptive_take_cap(std::int64_t depth,
-                                        std::size_t npending) {
-  if (depth <= 0) return npending == 0 ? 0 : 1;
-  const auto d = static_cast<std::size_t>(depth);
-  const std::size_t base = npending < d ? npending : d;
-  return base + (d - base) / 2;
-}
+// One box slot per cache line: a thief spinning on its own status never
+// shares a line with a neighbour's post or reply.
+static_assert(sizeof(Padded<StealRequest>) == kCacheLine);
 
 /// Per-frame combiner scan state, owned by the victim and persisted across
 /// steal rounds (the "incremental readiness" core of the steal-path
@@ -262,6 +229,12 @@ class Worker {
   /// combiner). Returns true when work was obtained *and executed*.
   bool try_steal_once();
 
+  /// Elects this worker combiner on `victim` when the victim's steal mutex
+  /// is free, and answers every request posted in the victim's box (only
+  /// this worker's own slot when aggregation is off). Returns false, doing
+  /// nothing, when another combiner holds the mutex.
+  bool try_combine(Worker& victim);
+
   /// Suspends on a task claimed by another worker until it terminates,
   /// stealing meanwhile (§II-B: "it suspends its execution and switches to
   /// the workstealing scheduler"). Registers the task in this worker's own
@@ -294,11 +267,6 @@ class Worker {
   Frame& frame_at(std::uint32_t d) { return frames_[d]; }
   StealRequest& request_slot(unsigned thief) { return reqbox_[thief].value; }
   unsigned nslots() const { return static_cast<unsigned>(reqbox_.size()); }
-
-  /// Quick "might have work" probe used for victim selection.
-  bool looks_busy() const {
-    return depth_.load(std::memory_order_relaxed) > 0;
-  }
 
   // ---- frame stack management (owner only) ------------------------------
 
@@ -407,36 +375,24 @@ class Worker {
   /// One posted request the combiner will answer, with the locality of the
   /// thief behind it (box slot i belongs to thief i): the starvation-aware
   /// deal serves thieves of starving domains first when replies are scarce.
-  /// `want` is the reply-size ceiling this round's deal honors for the
-  /// request (fixed mode: 1 per other thief, steal_batch for the combiner's
-  /// own slot; adaptive mode: kMaxBatch for a steal-half request, 1 for
-  /// steal-one). `idle` snapshots the request's idle bit for the scarce
-  /// deal's priority partition.
+  /// `idle` snapshots the request's idle bit for the scarce deal's priority
+  /// partition.
   struct PendingReq {
     StealRequest* slot;
     unsigned domain_rank;
-    std::uint32_t want;
     bool idle;
   };
 
-  /// Batch-pops ready tasks from `rl` into the reply pool, up to
-  /// `pool_target` pooled tasks total (local shard first; the hit/miss
-  /// split lands in this worker's stats). Under XK_STEAL_ADAPTIVE the take
-  /// is additionally capped by adaptive_take_cap over the list's live
-  /// depth and `npending` still-unserved requests (steal-half: the victim
-  /// keeps half of what the one-each floor leaves). The batch is one
-  /// acquisition of the list's lock.
-  void pour_ready_list(ReadyList& rl, Frame& f, std::size_t pool_target,
-                       std::size_t npending);
+  /// Batch-pops ready tasks from `rl` into the reply pool until it holds
+  /// `pool_target` tasks (local shard first; the hit/miss split lands in
+  /// this worker's stats). The batch is one acquisition of the list's lock.
+  void pour_ready_list(ReadyList& rl, Frame& f, std::size_t pool_target);
 
-  /// Deals the reply pool to pending[served..]: every receiver gets one
-  /// distinct task first, then the surplus tops requests up to their
-  /// `want` — the combiner's own slot first (it executes immediately),
-  /// then steal-half thieves round-robin. Publishes the served slots and
-  /// returns the new served count. When the pool cannot cover every
-  /// waiting thief, thieves of starving domains — and then idle thieves —
-  /// are served first. In fixed mode (every other want == 1) this
-  /// degenerates to the old steal-k deal exactly.
+  /// Deals the reply pool to pending[served..], one distinct task per
+  /// request; the combiner's own slot takes the oldest. Publishes the
+  /// served slots and returns the new served count. When the pool cannot
+  /// cover every waiting thief, thieves of starving domains — and then idle
+  /// thieves — are served first.
   std::size_t deal_pool(std::vector<PendingReq>& pending, std::size_t served,
                         StealRequest* self_slot);
 
@@ -449,15 +405,14 @@ class Worker {
   /// every-completion progress broadcast.
   void wake_joiner(Task* t);
 
-  /// Victim-draw probe: the occupancy-board bit when XK_OCC_HINT is on
-  /// (skips counted as probes_skipped), the victim's depth word otherwise.
+  /// Victim-draw probe: the victim's occupancy-board bit, published only
+  /// on its 0<->1 frame-depth edges, so the draw reads a read-mostly line
+  /// instead of every candidate's hot depth word (skips counted as
+  /// probes_skipped).
   bool probe_victim(Worker& v) {
-    if (occ_hint_) {
-      if (starvation_->occupied(v.id())) return true;
-      stats_->probes_skipped++;
-      return false;
-    }
-    return v.looks_busy();
+    if (starvation_->occupied(v.id())) return true;
+    stats_->probes_skipped++;
+    return false;
   }
 
   /// Escalating park timeout: 50us doubling to a 1.6ms cap as consecutive
@@ -471,15 +426,7 @@ class Worker {
   const unsigned id_;
   int backoff_limit_;
   int park_threshold_;
-  std::size_t steal_batch_;
   bool reclaim_enabled_;  ///< join-side reclaim; off under renaming (see wait_and_finalize)
-  bool adaptive_steal_;   ///< XK_STEAL_ADAPTIVE: feedback-sized replies
-  bool occ_hint_;         ///< XK_OCC_HINT: occupancy-bit victim probes
-
-  // Adaptive steal-width feedback (thief-private; see next_stealhalf).
-  bool stealhalf_ = false;            ///< width the next request will carry
-  std::uint32_t last_reply_tasks_ = 0;  ///< size of the last successful reply
-  std::uint64_t run_since_steal_ = 0;   ///< tasks run since that reply
 
   // Locality-aware victim selection (snapshotted from Runtime::placement()
   // at construction; immutable afterwards).
@@ -530,7 +477,6 @@ class Worker {
   // churn. Only this worker (as combiner) touches its own scratch.
   std::vector<PendingReq> pending_scratch_;
   std::vector<PendingReq> deal_scratch_;  ///< desperate-first reorder buffer
-  std::vector<std::uint32_t> alloc_scratch_;  ///< per-receiver deal counts
   std::vector<Task*> adaptive_scratch_;
   std::vector<const Task*> prefix_scratch_;
   std::vector<Task*> batch_scratch_;

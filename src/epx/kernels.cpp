@@ -198,15 +198,24 @@ struct FlatGrid {
   }
 
   /// Cell at offset (dx,dy,dz) from p's cell; nullptr when outside the box.
+  /// The bound check runs in double, before any cast: a node far outside
+  /// the box (a diverging run's escaped node) or a non-finite coordinate
+  /// has no cell, and casting its index to int would be undefined. Small
+  /// integers are exact in double, so in-box lookups are unchanged.
   const std::vector<int>* cell_at(const Vec3& p, int dx, int dy,
                                   int dz) const {
-    const int ix = static_cast<int>(std::floor((p.x - lo.x) / cell)) + dx;
-    const int iy = static_cast<int>(std::floor((p.y - lo.y) / cell)) + dy;
-    const int iz = static_cast<int>(std::floor((p.z - lo.z) / cell)) + dz;
-    if (ix < 0 || ix >= nx || iy < 0 || iy >= ny || iz < 0 || iz >= nz) {
+    const double fx = std::floor((p.x - lo.x) / cell) + dx;
+    const double fy = std::floor((p.y - lo.y) / cell) + dy;
+    const double fz = std::floor((p.z - lo.z) / cell) + dz;
+    if (!(fx >= 0 && fx < nx && fy >= 0 && fy < ny && fz >= 0 && fz < nz)) {
       return nullptr;
     }
-    return &cells[(static_cast<std::size_t>(iz) * ny + iy) * nx + ix];
+    const auto ix = static_cast<std::size_t>(fx);
+    const auto iy = static_cast<std::size_t>(fy);
+    const auto iz = static_cast<std::size_t>(fz);
+    return &cells[(iz * static_cast<std::size_t>(ny) + iy) *
+                      static_cast<std::size_t>(nx) +
+                  ix];
   }
 
   static int clampi(int v, int n) { return v < 0 ? 0 : (v >= n ? n - 1 : v); }

@@ -324,7 +324,6 @@ void run_help_scenario(HelpScenario& sc, const std::vector<int>& throwers,
                        bool nested) {
   xk::Config c = cfg(4);
   c.ready_list_threshold = 1;
-  c.steal_batch = 1;
   xk::Runtime rt(c);
   rt.run([&] {
     xk::Worker* owner = xk::this_worker();

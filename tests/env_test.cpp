@@ -138,11 +138,6 @@ TEST(ConfigFromEnv, NegativeIdleUsFallsBack) {
   EXPECT_EQ(xk::Config::from_env().svc_idle_us, kDefaults.svc_idle_us);
 }
 
-TEST(ConfigFromEnv, NegativeStealBatchFallsBack) {
-  ScopedEnv e("XK_STEAL_BATCH", "-8");
-  EXPECT_EQ(xk::Config::from_env().steal_batch, kDefaults.steal_batch);
-}
-
 TEST(ConfigFromEnv, NegativeTraceCapFallsBack) {
   ScopedEnv e("XK_TRACE_CAP", "-1");
   EXPECT_EQ(xk::Config::from_env().trace_cap, kDefaults.trace_cap);

@@ -1098,7 +1098,6 @@ TEST(StealSlot, StatusLifecycle) {
   xk::StealRequest slot;
   EXPECT_EQ(slot.status.load(), xk::StealRequest::kEmpty);
   slot.status.store(xk::StealRequest::kPosted);
-  slot.nreplies = 0;
   slot.status.store(xk::StealRequest::kFailed);
   EXPECT_EQ(slot.status.load(), xk::StealRequest::kFailed);
 }
@@ -1267,71 +1266,88 @@ TEST(TopoSteal, FlatMachineCountsEverythingLocal) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive steal width (XK_STEAL_ADAPTIVE): the pure feedback/cap functions
-// pinned exactly, plus runtime-level invariants.
+// The steal deal: every served request gets exactly one task.
 // ---------------------------------------------------------------------------
 
-TEST(AdaptiveSteal, NextStealhalfFlipConditions) {
-  // No successful reply since the last evaluation: keep the current width
-  // (a failed round says nothing about how a reply fans out).
-  EXPECT_FALSE(xk::next_stealhalf(/*current=*/false, /*received=*/0,
-                                  /*executed=*/0));
-  EXPECT_TRUE(xk::next_stealhalf(true, 0, 7));
-  // Executing no more than the reply means the thief is re-begging
-  // immediately: flip (or stay) to steal-half.
-  EXPECT_TRUE(xk::next_stealhalf(false, 1, 0));
-  EXPECT_TRUE(xk::next_stealhalf(false, 4, 4));
-  EXPECT_TRUE(xk::next_stealhalf(true, 8, 8));
-  // Executing more than the reply means it seeded enough local work: flip
-  // (or stay) back to steal-one.
-  EXPECT_FALSE(xk::next_stealhalf(true, 1, 2));
-  EXPECT_FALSE(xk::next_stealhalf(true, 4, 100));
-  EXPECT_FALSE(xk::next_stealhalf(false, 4, 5));
-}
-
-TEST(AdaptiveSteal, TakeCapVsShardDepthPins) {
-  // Empty (or stale-negative) depth gauge: one probing pop iff a thief is
-  // actually waiting — a lagging gauge must not fail a thief outright.
-  EXPECT_EQ(xk::adaptive_take_cap(/*depth=*/0, /*npending=*/0), 0u);
-  EXPECT_EQ(xk::adaptive_take_cap(0, 4), 1u);
-  EXPECT_EQ(xk::adaptive_take_cap(-3, 4), 1u);
-  // One-each floor, then the thieves take half the remainder (the victim
-  // keeps the other half): steal-half semantics over the live depth.
-  EXPECT_EQ(xk::adaptive_take_cap(8, 2), 5u);   // 2 + (8-2)/2
-  EXPECT_EQ(xk::adaptive_take_cap(9, 1), 5u);   // 1 + (9-1)/2
-  EXPECT_EQ(xk::adaptive_take_cap(1, 1), 1u);   // nothing beyond the floor
-  // Depth at or below the pending count: exactly one each, never zero for
-  // a waiting thief, never more than the list holds.
-  EXPECT_EQ(xk::adaptive_take_cap(8, 8), 8u);
-  EXPECT_EQ(xk::adaptive_take_cap(2, 8), 2u);
-}
-
 TEST(AdaptiveSteal, ModesProduceIdenticalResults) {
-  // The adaptive protocol and the occupancy hint change reply sizes and
-  // victim draws, never which tasks run or in what dependence order.
-  for (const bool adaptive : {false, true}) {
-    for (const bool occ : {false, true}) {
-      xk::Config cfg;
-      cfg.nworkers = 4;
-      cfg.topo = "2x2";
-      cfg.steal_adaptive = adaptive;
-      cfg.occupancy_hint = occ;
-      xk::Runtime rt(cfg);
-      std::uint64_t r = 0;
-      std::int64_t chain = 0;
-      rt.run([&] {
-        counter_fib(&r, 22);
-        for (int i = 0; i < 64; ++i) {
-          xk::spawn([](std::int64_t* c) { *c = *c * 3 + 1; }, xk::rw(&chain));
-        }
-        xk::sync();
-      });
-      EXPECT_EQ(r, 17711u) << "adaptive=" << adaptive << " occ=" << occ;
-      std::int64_t expect = 0;
-      for (int i = 0; i < 64; ++i) expect = expect * 3 + 1;
-      EXPECT_EQ(chain, expect) << "adaptive=" << adaptive << " occ=" << occ;
+  // Steals change which worker runs a task, never which tasks run or in
+  // what dependence order. The chain is unsigned: 64 rounds of *3+1 wrap.
+  xk::Config cfg;
+  cfg.nworkers = 4;
+  cfg.topo = "2x2";
+  xk::Runtime rt(cfg);
+  std::uint64_t r = 0;
+  std::uint64_t chain = 0;
+  rt.run([&] {
+    counter_fib(&r, 22);
+    for (int i = 0; i < 64; ++i) {
+      xk::spawn([](std::uint64_t* c) { *c = *c * 3 + 1; }, xk::rw(&chain));
     }
-  }
+    xk::sync();
+  });
+  EXPECT_EQ(r, 17711u);
+  std::uint64_t expect = 0;
+  for (int i = 0; i < 64; ++i) expect = expect * 3 + 1;
+  EXPECT_EQ(chain, expect);
+}
+
+TEST(StealDeal, EachRequestGetsOneTaskCombinerTheOldest) {
+  // One combine round driven by hand: k thieves post into the master's box
+  // while its frame's ready list holds d > k ready tasks. No pool thread
+  // exists (nworkers = 1); the thread-less master slots 1..k are the
+  // thieves, slot 1 the combiner.
+  constexpr unsigned kThieves = 3;
+  constexpr std::size_t kDepth = 8;
+  xk::Config cfg;
+  cfg.nworkers = 1;
+  cfg.sections = kThieves + 1;
+  cfg.topo = "1x4";
+  xk::Runtime rt(cfg);
+  ASSERT_EQ(rt.nworkers_total(), kThieves + 1);
+  std::vector<int> cells(kDepth, 0);
+  rt.run([&] {
+    xk::Worker& victim = *xk::this_worker();
+    ASSERT_EQ(victim.id(), 0u);
+    xk::Frame& f = victim.current_frame();
+    for (std::size_t i = 0; i < kDepth; ++i) {
+      xk::spawn([](int* c) { *c = 1; }, xk::write(&cells[i]));
+    }
+    std::vector<xk::Task*> tasks;  // program order: oldest first
+    for (xk::Frame::Iterator it(f); it.index() < kDepth; it.advance()) {
+      tasks.push_back(it.get());
+    }
+    auto* rl = new xk::ReadyList(f);  // the frame's reset deletes it
+    f.ready_list.store(rl, std::memory_order_release);
+    for (unsigned i = 1; i <= kThieves; ++i) {
+      victim.request_slot(i).status.store(xk::StealRequest::kPosted);
+    }
+    ASSERT_TRUE(rt.worker(1).try_combine(victim));
+
+    std::vector<xk::Task*> replies;
+    for (unsigned i = 1; i <= kThieves; ++i) {
+      xk::StealRequest& s = victim.request_slot(i);
+      ASSERT_EQ(s.status.load(), xk::StealRequest::kServed) << i;
+      ASSERT_NE(s.reply, nullptr) << i;
+      EXPECT_EQ(s.reply_frame, &f) << i;
+      EXPECT_EQ(s.reply->load_state(), xk::TaskState::kStolenClaim) << i;
+      replies.push_back(s.reply);
+    }
+    // The combiner's own slot takes the oldest task; the k oldest are
+    // dealt once each, and the other d - k stay in the list.
+    EXPECT_EQ(victim.request_slot(1).reply, tasks[0]);
+    std::sort(replies.begin(), replies.end());
+    std::vector<xk::Task*> oldest(tasks.begin(), tasks.begin() + kThieves);
+    std::sort(oldest.begin(), oldest.end());
+    EXPECT_EQ(replies, oldest);
+    EXPECT_EQ(rl->ready_size(), kDepth - kThieves);
+    // Drop the replies unclaimed, as thieves that lost the claim race: the
+    // owner's drain reclaims the three and runs everything.
+    for (unsigned i = 1; i <= kThieves; ++i) {
+      victim.request_slot(i).status.store(xk::StealRequest::kEmpty);
+    }
+    xk::sync();
+  });
+  for (int c : cells) EXPECT_EQ(c, 1);
 }
 
 TEST(Occupancy, MasterBitTracksRootFrameAndQuiesceArming) {

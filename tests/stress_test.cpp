@@ -462,22 +462,21 @@ TEST(Stress, ReadyListGlobalLockAsymmetricTopo) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive steal protocol + occupancy/quiescence (PR 6): TSan hammer. Many
-// tiny back-to-back sections maximize the hot edges of the new machinery —
-// occupancy bits flipping on 0<->1 frame-depth transitions, the quiescence
-// fold firing at every section close (a lost wake would hang a section past
-// the Parker's 1.6 ms backstop; a double-fire or a data race is TSan's to
-// catch), targeted join wakes racing final state stores, and steal-half
-// replies racing the feedback flip. Runs both XK_STEAL_ADAPTIVE modes under
-// flat, SMT and asymmetric shapes — the sanitizer CI job (which runs every
-// label) and the topo-matrix stress leg are the real gates.
+// Steal path + occupancy/quiescence: TSan hammer. Many tiny back-to-back
+// sections maximize the hot edges of the steal machinery — occupancy bits
+// flipping on 0<->1 frame-depth transitions, the quiescence fold firing at
+// every section close (a lost wake would hang a section past the Parker's
+// 1.6 ms backstop; a double-fire or a data race is TSan's to catch),
+// targeted join wakes racing final state stores, and one-task replies
+// dealt from ready-list pours. Runs under flat, SMT and asymmetric shapes —
+// the sanitizer CI job (which runs every label) and the topo-matrix stress
+// leg are the real gates.
 // ---------------------------------------------------------------------------
 
-void adaptive_steal_hammer(bool adaptive, const char* topo) {
+void steal_hammer(const char* topo) {
   xk::Config c = cfg(8);
   c.topo = topo;
   c.place = "scatter";  // spread the few workers across every domain
-  c.steal_adaptive = adaptive;
   c.park_threshold = 18;  // park aggressively: the wake paths must carry it
   constexpr int kSections = 12, kRows = 8, kSteps = 12;
   xk::Runtime rt(c);
@@ -485,7 +484,7 @@ void adaptive_steal_hammer(bool adaptive, const char* topo) {
   std::atomic<std::int64_t> forks{0};
   for (int round = 0; round < kSections; ++round) {
     rt.run([&] {
-      // Fork-join burst: stolen joins + adaptive feedback on the replies.
+      // Fork-join burst: stolen joins.
       std::function<void(int)> tree = [&](int d) {
         if (d == 0) {
           forks.fetch_add(1);
@@ -496,7 +495,7 @@ void adaptive_steal_hammer(bool adaptive, const char* topo) {
         xk::sync();
       };
       tree(5);
-      // Dataflow chains: ready-list pours under the adaptive take cap.
+      // Dataflow chains: ready-list pours, one task per request.
       for (int step = 0; step < kSteps; ++step) {
         for (int r = 0; r < kRows; ++r) {
           xk::spawn([](double* cell) { *cell += 1.0; },
@@ -514,28 +513,12 @@ void adaptive_steal_hammer(bool adaptive, const char* topo) {
   EXPECT_FALSE(rt.starvation().quiesce_armed());
 }
 
-TEST(Stress, AdaptiveStealFlatHammer) {
-  adaptive_steal_hammer(/*adaptive=*/true, "1x8");
-}
+TEST(Stress, AdaptiveStealFlatHammer) { steal_hammer("1x8"); }
 
-TEST(Stress, AdaptiveStealSmtTopoHammer) {
-  adaptive_steal_hammer(/*adaptive=*/true, "4x2x2");
-}
+TEST(Stress, AdaptiveStealSmtTopoHammer) { steal_hammer("4x2x2"); }
 
 TEST(Stress, AdaptiveStealAsymmetricTopoHammer) {
-  adaptive_steal_hammer(/*adaptive=*/true, "1x2+1x6");
-}
-
-TEST(Stress, FixedStealFlatHammer) {
-  adaptive_steal_hammer(/*adaptive=*/false, "1x8");
-}
-
-TEST(Stress, FixedStealSmtTopoHammer) {
-  adaptive_steal_hammer(/*adaptive=*/false, "4x2x2");
-}
-
-TEST(Stress, FixedStealAsymmetricTopoHammer) {
-  adaptive_steal_hammer(/*adaptive=*/false, "1x2+1x6");
+  steal_hammer("1x2+1x6");
 }
 
 }  // namespace
