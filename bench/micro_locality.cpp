@@ -43,7 +43,6 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_set(
       {"foreach_chunks", s.foreach_chunks},
       {"shard_hits", s.shard_hits},
       {"shard_misses", s.shard_misses},
-      {"starvation_escalations", s.starvation_escalations},
       {"parks", s.parks},
   };
 }

@@ -20,8 +20,8 @@ Checks, in order:
     is real but not guaranteed at tiny sizes);
   * the optional top-level "metrics" array: each entry names a pid and
     carries a "snapshot" object with "nworkers", "counters" (a
-    name->integer object), and "domains" (list of rank/ready/failed/
-    occupied gauges) — the machine-readable side of the drain.
+    name->integer object), and "domains" (list of rank/occupied
+    gauges) — the machine-readable side of the drain.
 
 Exit codes: 0 ok, 1 validation failure, 2 missing/unreadable input.
 
@@ -123,7 +123,7 @@ def check_metrics(doc, required):
                 return fail(f"metrics[{i}] counter {name!r} is not an "
                             "integer")
         for j, d in enumerate(snap["domains"]):
-            for field in ("rank", "ready", "failed", "occupied"):
+            for field in ("rank", "occupied"):
                 if field not in d:
                     return fail(f"metrics[{i}].snapshot.domains[{j}] "
                                 f"lacks {field!r}")

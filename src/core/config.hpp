@@ -65,27 +65,6 @@ struct Config {
   /// XK_PLACE when set, else compact; unknown values fall back to compact.
   std::string place;
 
-  /// Failed same-domain steal rounds before a thief escalates its victim
-  /// draw to remote locality domains (XK_STEAL_LOCAL_TRIES). 0 = never
-  /// prefer local (flat victim selection over all workers).
-  int steal_local_tries = 4;
-
-  /// Shard each frame's ready list by locality domain (XK_RL_SHARD):
-  /// producers push released tasks into their own domain's shard and
-  /// combiners pop local-shard-first, crossing shards only when their own
-  /// runs dry. Off forces one shard (the pre-sharding behavior); flat
-  /// one-domain machines collapse to one shard either way.
-  bool shard_ready_list = true;
-
-  /// Failed local steal rounds accumulated across a *whole domain's*
-  /// thieves (since the domain's last successful steal) before the domain
-  /// counts as starving (XK_STARVE_ROUNDS). A starving domain's thieves
-  /// skip the remainder of their per-thief XK_STEAL_LOCAL_TRIES budget and
-  /// escalate to remote victims at once, and combiners deal scarce batched
-  /// replies to its thieves first. 0 disables the shared signal (pure
-  /// per-thief escalation, the PR 3 behavior).
-  int starve_rounds = 8;
-
   /// Chrome trace-event output path (XK_TRACE). Non-empty arms the
   /// per-worker trace rings: every scheduler hook records into its
   /// worker's ring and Runtime::end() drains them into this file (one pid
@@ -103,7 +82,7 @@ struct Config {
   std::size_t trace_cap = 0;
 
   /// XK_STATS: dump the aggregated WorkerStats counters and the
-  /// starvation board's per-domain gauges to stderr at every section end
+  /// occupancy board's per-domain gauges to stderr at every section end
   /// (Runtime::end()), so counter telemetry needs no bench harness.
   bool stats_dump = false;
 

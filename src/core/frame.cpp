@@ -22,16 +22,14 @@ void Frame::delete_heap_tasks() {
 
 void Frame::reset() {
   delete_heap_tasks();
-  // The ReadyList destructor returns any still-queued shard entries to the
-  // runtime's starvation gauges, so recycling a frame cannot leave a
-  // domain's ready-depth permanently inflated. It runs without the list's
-  // lock: the owner only resets after every task reached Term and the
-  // Dekker handshake excluded scanners, so that mutex can be neither
-  // contended nor held here. The epoch bump below is also what a
-  // *surviving* list would key its coverage reset off — a ReadyList
-  // constructed on this frame checks Frame::epoch() at every entry point
-  // and drops stale coverage (and early-completion records, which would
-  // otherwise alias recycled task addresses).
+  // The ReadyList destructor runs without the list's lock: the owner only
+  // resets after every task reached Term and the Dekker handshake excluded
+  // scanners, so that mutex can be neither contended nor held here. The
+  // epoch bump below is also what a *surviving* list would key its
+  // coverage reset off — a ReadyList constructed on this frame checks
+  // Frame::epoch() at every entry point and drops stale coverage (and
+  // early-completion records, which would otherwise alias recycled task
+  // addresses).
   // xk-order: owner-only quiesced recycle — the Dekker handshake excluded
   // every scanner before reset() runs, and the next push_frame publishes
   // the recycled frame with its own release edge.

@@ -9,26 +9,16 @@
 
 namespace xk {
 
-ReadyList::ReadyList(Frame& frame, unsigned nshards, StarvationBoard* board)
+ReadyList::ReadyList(Frame& frame, unsigned nshards)
     : frame_(frame),
-      board_(board),
       frame_epoch_(frame.epoch()),
       shards_(std::max(nshards, 1u)) {}
 
 ReadyList::~ReadyList() {
-  // A frame can recycle with tasks still queued (released successors the
-  // owner's FIFO claimed and ran without a combiner ever popping them);
-  // return any gauge contribution not already returned at completion so
-  // the board never drifts. Keyed off Node::queued, not the deque sizes:
-  // deques may hold dead entries whose contribution was settled when their
-  // completion arrived. No lock: destruction is owner-only, after the
-  // Dekker handshake has excluded every scanner and every task reached
-  // Term (see Worker::pop_frame / Frame::reset).
+  // No lock: destruction is owner-only, after the Dekker handshake has
+  // excluded every scanner and every task reached Term (see
+  // Worker::pop_frame / Frame::reset).
   if constexpr (check::kEnabled) verify_accounting_quiesced("~ReadyList");
-  if (board_ == nullptr) return;
-  for (Node& n : nodes_) {
-    if (n.queued >= 0) board_->add_ready(static_cast<unsigned>(n.queued), -1);
-  }
 }
 
 void ReadyList::verify_accounting_quiesced(const char* where) {
@@ -55,7 +45,7 @@ unsigned ReadyList::wrap_shard(unsigned shard) const {
   return shard < ns ? shard : shard % ns;
 }
 
-/// Settles `n`'s board/depth contribution if it still has one. Called
+/// Settles `n`'s depth contribution if it still has one. Called
 /// right after a pop and at completion — whichever comes first wins; the
 /// other sees -1 and does nothing.
 void ReadyList::settle_queued(Node* n) {
@@ -64,7 +54,6 @@ void ReadyList::settle_queued(Node* n) {
   n->queued = -1;
   shards_[static_cast<unsigned>(q)].depth.fetch_sub(1,
                                                     std::memory_order_relaxed);
-  if (board_ != nullptr) board_->add_ready(static_cast<unsigned>(q), -1);
 }
 
 /// Appends `n` to `shard`'s deque.
@@ -74,7 +63,6 @@ void ReadyList::push_ready_graph_held(Node* n, unsigned shard) {
   const std::int64_t depth =
       shards_[shard].depth.fetch_add(1, std::memory_order_relaxed) + 1;
   ++nready_;
-  if (board_ != nullptr) board_->add_ready(shard, 1);
   obs::emit(obs::Ev::kRlPush, shard,
             static_cast<std::uint64_t>(depth > 0 ? depth : 0));
 }
@@ -272,7 +260,7 @@ void ReadyList::on_complete(Task* t, unsigned shard) {
   complete_node_graph_held(found->second, shard);
 }
 
-/// Marks the node done, settles its gauge, retires its live-access
+/// Marks the node done, settles its depth, retires its live-access
 /// intervals, then releases successors whose last predecessor this was
 /// into `shard` (producer-side routing: the finisher's domain just wrote
 /// their inputs). Returns the number of successors released.
@@ -281,8 +269,8 @@ std::size_t ReadyList::complete_node_graph_held(Node* n, unsigned shard) {
   n->completed = true;
   // A node can complete while still sitting in a shard deque (the owner's
   // FIFO claimed and ran it); its entry stays queued as a dead one until a
-  // pop discards it, but its board contribution must not — phantom depth
-  // would veto real starvation verdicts for the shard's domain.
+  // pop discards it, but its live depth must not — phantom depth would
+  // send the owner's help loop after work that is not there.
   settle_queued(n);
   erase_live_refs_graph_held(n);
   std::size_t released = 0;
@@ -351,9 +339,8 @@ std::size_t ReadyList::pop_batch_graph_held(Task** out, std::size_t max,
     Task* t = node->task;
     if (t->try_claim(TaskState::kStolenClaim)) {
       // The hit/miss split is only meaningful when there is more than one
-      // shard; counting a forced single shard as all-hits would make the
-      // sharded-vs-unsharded ablation (XK_RL_SHARD=0, flat machines)
-      // indistinguishable from a perfectly-local sharded run.
+      // shard; on a flat machine's single shard every pop would count as a
+      // hit and read as a perfectly-local sharded run.
       if (ns > 1) {
         if (shard == home) {
           if (shard_hits != nullptr) ++*shard_hits;

@@ -20,9 +20,7 @@
 // own* domain's shard; consumers pop local-shard-first and cross into other
 // shards only when their own runs dry, so successors tend to run where their
 // predecessor's output is hot. Flat machines construct one shard and keep
-// the global-FIFO behavior exactly. The optional StarvationBoard hook mirrors
-// each shard's live depth into the runtime's per-domain gauges so "this
-// domain has queued ready work" can veto the starvation verdict.
+// the global-FIFO behavior exactly.
 //
 // Locking: one mutex, `graph_mu_`, guards the dependence graph and every
 // shard deque. Every public entry point takes it; every `*_graph_held`
@@ -42,7 +40,6 @@
 #include <vector>
 
 #include "core/frame.hpp"
-#include "core/stats.hpp"
 #include "core/task.hpp"
 #include "support/cache.hpp"
 
@@ -50,11 +47,8 @@ namespace xk {
 
 class ReadyList {
  public:
-  /// `nshards` is the runtime's dense domain count (1 collapses to the
-  /// unsharded behavior); `board`, when given, tracks shard depths in the
-  /// runtime's per-domain starvation gauges.
-  explicit ReadyList(Frame& frame, unsigned nshards = 1,
-                     StarvationBoard* board = nullptr);
+  /// `nshards` is the runtime's dense domain count (1 on a flat machine).
+  explicit ReadyList(Frame& frame, unsigned nshards = 1);
   ~ReadyList();
 
   ReadyList(const ReadyList&) = delete;
@@ -139,11 +133,11 @@ class ReadyList {
     /// walks duplicates forever.
     bool watched = false;
     /// Shard deque this node sits in, -1 if none. Settled (set to -1) by
-    /// whichever of pop and completion comes first, so the board's ready
-    /// gauge and the shard's live depth are returned the moment the node
-    /// completes, even while its (now dead) entry still waits in the
-    /// deque — otherwise owner-executed tasks would leave phantom depth
-    /// that vetoes legitimate starvation verdicts.
+    /// whichever of pop and completion comes first, so the shard's live
+    /// depth is returned the moment the node completes, even while its
+    /// (now dead) entry still waits in the deque — otherwise owner-executed
+    /// tasks would leave phantom depth that sends the owner's help loop
+    /// after work that is not there.
     std::int32_t queued = -1;
     std::vector<Node*> successors;
     /// This node's intervals in live_. A slot holds live_.end() once a
@@ -156,23 +150,21 @@ class ReadyList {
     const Access* acc;
   };
 
-  /// One per-domain ready queue. `depth` counts *live* queued nodes (the
-  /// board-gauge mirror, maintained even without a board); the deque
-  /// itself may additionally hold dead entries whose gauge was settled at
-  /// completion. `depth` is written under graph_mu_ and atomic only for
-  /// the lock-free readers (approx_ready, shard_live_depth).
+  /// One per-domain ready queue. `depth` counts *live* queued nodes; the
+  /// deque itself may additionally hold dead entries whose depth was
+  /// settled at completion. `depth` is written under graph_mu_ and atomic
+  /// only for the lock-free readers (approx_ready, shard_live_depth).
   struct alignas(kCacheLine) Shard {
     std::deque<Node*> q;
     std::atomic<std::int64_t> depth{0};
   };
 
   /// Maps a caller's domain rank onto a shard. Out-of-range ranks are only
-  /// legitimate when the list collapsed to a single shard (XK_RL_SHARD=0 /
-  /// flat machines funnel every rank into shard 0); with real shards an
-  /// oversized rank is an upstream routing bug — assert in debug builds,
-  /// and wrap by modulo (not fold onto shard 0) in release so a bad rank
-  /// at least spreads instead of mis-crediting shard 0's board depth and
-  /// hit/miss telemetry.
+  /// legitimate on a single-shard list, which funnels every rank into
+  /// shard 0; with real shards an oversized rank is an upstream routing
+  /// bug — assert in debug builds, and wrap by modulo (not fold onto
+  /// shard 0) in release so a bad rank at least spreads instead of
+  /// mis-crediting shard 0's depth and hit/miss telemetry.
   unsigned wrap_shard(unsigned shard) const;
 
   // Every helper below runs with graph_mu_ held (or, for settle_queued and
@@ -201,7 +193,6 @@ class ReadyList {
   void verify_accounting_quiesced(const char* where);
 
   Frame& frame_;
-  StarvationBoard* board_;
 
   /// The list's one lock: guards every field below except the shard
   /// `depth` gauges' lock-free reads.

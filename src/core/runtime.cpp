@@ -53,11 +53,6 @@ Config Config::from_env() {
   cfg.topo = env_string("XK_TOPO").value_or(cfg.topo);
   cfg.cpuset = env_string("XK_CPUSET").value_or(cfg.cpuset);
   cfg.place = env_string("XK_PLACE").value_or(cfg.place);
-  cfg.steal_local_tries = static_cast<int>(
-      env_int("XK_STEAL_LOCAL_TRIES", cfg.steal_local_tries));
-  cfg.shard_ready_list = env_bool("XK_RL_SHARD", cfg.shard_ready_list);
-  cfg.starve_rounds =
-      static_cast<int>(env_int("XK_STARVE_ROUNDS", cfg.starve_rounds));
   cfg.trace_path = env_string("XK_TRACE").value_or(cfg.trace_path);
   cfg.trace_cap = env_size("XK_TRACE_CAP", cfg.trace_cap);
   cfg.stats_dump = env_bool("XK_STATS", cfg.stats_dump);
@@ -128,16 +123,16 @@ Runtime::Runtime(Config cfg) : cfg_(cfg) {
     }
   }
 
-  // The starvation board must exist before the first worker constructor
-  // caches its pointer; its size is the dense domain-rank count. The
-  // occupancy side is keyed by worker id (masters included) with the
-  // domain rank folded in.
-  starvation_.init(placement_.ndomains);
+  // The occupancy board must exist before the first worker constructor
+  // caches its pointer; its domain fold is sized by the dense domain-rank
+  // count, its bits by worker id (masters included) with the domain rank
+  // folded in.
+  occupancy_.init(placement_.ndomains);
   std::vector<unsigned> worker_ranks(nw_total, 0);
   for (unsigned i = 0; i < nw_total && i < placement_.slots.size(); ++i) {
     worker_ranks[i] = placement_.slots[i].domain_rank;
   }
-  starvation_.init_occupancy(worker_ranks);
+  occupancy_.init_occupancy(worker_ranks);
 
   workers_.reserve(nw_total);
   for (unsigned i = 0; i < nw_total; ++i) {
@@ -264,19 +259,13 @@ void Runtime::begin() {
     if (first) ++check_batches_;
   }
   if (first) {
-    // The previous batch's end-of-work famine saturated the failed-round
-    // gauges; a fresh batch starts with no domain pre-declared starving.
-    // (Only the first of a set of overlapping sections resets: a reset
-    // mid-batch would erase live famine signals of the running sections —
-    // the cross-section gauge bleed this lock exists to prevent.)
-    starvation_.reset_rounds();
     // Arm the quiescence event *before* any root frame publishes a
     // master's occupancy. Every root push/pop happens under section_mu_,
     // so from here until the *last* overlapping section closes the root
     // occupied count stays >= 1 and the only 1->0 root edge — the final
     // root-frame pop in end() — is the one that fires, waking parked
     // workers exactly once when the whole batch is over.
-    starvation_.arm_quiesce(&work_parker_, &progress_parker_);
+    occupancy_.arm_quiesce(&work_parker_, &progress_parker_);
   }
   w.push_frame();  // root frame
   open_sections_.fetch_add(1, std::memory_order_release);
@@ -326,7 +315,7 @@ void Runtime::end() {
     // and nothing fires early.
     w->pop_frame();
     open_sections_.fetch_sub(1, std::memory_order_release);
-    if (last) starvation_.disarm_quiesce();  // defensive; fold consumed it
+    if (last) occupancy_.disarm_quiesce();  // defensive; fold consumed it
     // The section span closes before the final drain (it must be in that
     // drain's batch). Non-last sections leave their span in the master's
     // ring; the last close copies every ring out after quiescing the
@@ -383,13 +372,12 @@ obs::MetricsSnapshot Runtime::metrics_snapshot() const {
   total.for_each([&](const char* name, std::uint64_t v) {
     m.counters.emplace_back(name, v);
   });
-  m.domains.reserve(starvation_.ndomains());
-  for (unsigned r = 0; r < starvation_.ndomains(); ++r) {
-    m.domains.push_back(obs::MetricsSnapshot::DomainGauge{
-        r, starvation_.ready_depth(r), starvation_.failed_rounds(r),
-        starvation_.domain_occupied(r)});
+  m.domains.reserve(occupancy_.ndomains());
+  for (unsigned r = 0; r < occupancy_.ndomains(); ++r) {
+    m.domains.push_back(
+        obs::MetricsSnapshot::DomainGauge{r, occupancy_.domain_occupied(r)});
   }
-  m.root_occupied = starvation_.root_occupied();
+  m.root_occupied = occupancy_.root_occupied();
   return m;
 }
 

@@ -20,9 +20,9 @@
 // begin()/end() pairs concurrently. Each open section binds its caller to
 // a distinct *master slot* — worker 0 plus Config::sections - 1 extra
 // Worker instances that exist beyond the pool (ids >= nworkers()). All
-// masters' frames are stealable by the pool; quiescence detection, the
-// starvation gauges and the trace drain key off the *last* section
-// closing, serialized by section_mu_.
+// masters' frames are stealable by the pool; quiescence detection and
+// the trace drain key off the *last* section closing, serialized by
+// section_mu_.
 #pragma once
 
 #include <atomic>
@@ -80,12 +80,11 @@ class Runtime {
   /// count key off this.
   unsigned ndomains() const { return placement_.ndomains; }
 
-  /// Shared per-domain starvation gauges (see stats.hpp): thieves record
-  /// failed local rounds / progress, ready-list shards record their depth,
-  /// and both the victim draw and the combiner's reply deal consult the
-  /// verdict. Sized to ndomains() at construction.
-  StarvationBoard& starvation() { return starvation_; }
-  const StarvationBoard& starvation() const { return starvation_; }
+  /// Shared occupancy board (see stats.hpp): per-worker has-work bits the
+  /// victim draw probes, folded per domain and machine-wide into the
+  /// section-quiescence event. Sized to ndomains() at construction.
+  OccupancyBoard& occupancy() { return occupancy_; }
+  const OccupancyBoard& occupancy() const { return occupancy_; }
 
   /// Opens a parallel section: binds the caller to a free master slot
   /// (worker 0 when available), pushes its root frame and — if this is the
@@ -145,8 +144,8 @@ class Runtime {
   WorkerStats stats_snapshot() const;
 
   /// Machine-readable telemetry: the aggregated counters in declaration
-  /// order plus the starvation board's per-domain gauges (ready depth,
-  /// failed rounds, occupancy) and the root occupancy count. The shape
+  /// order plus the occupancy board's per-domain occupied-worker counts
+  /// and the root occupancy count. The shape
   /// benches embed into their JSON reports, the trace file carries under
   /// "metrics", and XK_STATS dumps to stderr.
   obs::MetricsSnapshot metrics_snapshot() const;
@@ -186,7 +185,7 @@ class Runtime {
   /// A worker suspended on one specific stolen task waits on its private
   /// join parker instead (Worker::join_parker), woken exactly once by the
   /// finishing thief; section end is signalled once by the occupancy
-  /// board's quiescence fold (StarvationBoard::arm_quiesce), which fires
+  /// board's quiescence fold (OccupancyBoard::arm_quiesce), which fires
   /// both shared parkers when the master's root-frame pop empties the
   /// machine. Neither event broadcasts per completion any more.
   Parker& work_parker() { return work_parker_; }
@@ -234,20 +233,20 @@ class Runtime {
   unsigned nw_ = 0;  ///< pool worker count (workers_ also holds masters)
   Topology topo_;
   Placement placement_;
-  StarvationBoard starvation_;
+  OccupancyBoard occupancy_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
   // Section lifecycle. section_mu_ serializes every master-slot claim /
   // release, the root-frame push/pop of each section, and the first-open /
   // last-close transitions (quiesce arming, pool wake, observability
-  // drain) — so overlapping sections cannot double-drain a trace ring,
-  // bleed starvation gauges across each other, or race a begin() against
-  // the previous batch's ring copy-out. The invariant it maintains: while
-  // the lock is free, open_sections_ equals the number of pushed master
-  // root frames, so the board's root-occupancy count stays >= 1 for as
-  // long as any section is open and the only firing 1->0 edge is the last
-  // section's root pop. Lock order: section_mu_ before park_mutex_.
+  // drain) — so overlapping sections cannot double-drain a trace ring or
+  // race a begin() against the previous batch's ring copy-out. The
+  // invariant it maintains: while the lock is free, open_sections_ equals
+  // the number of pushed master root frames, so the board's
+  // root-occupancy count stays >= 1 for as long as any section is open
+  // and the only firing 1->0 edge is the last section's root pop. Lock
+  // order: section_mu_ before park_mutex_.
   std::mutex section_mu_;
   std::atomic<unsigned> open_sections_{0};
   std::vector<unsigned> master_slots_;  ///< worker ids usable as masters

@@ -1,17 +1,12 @@
-// Per-worker scheduler counters, plus the shared per-domain starvation /
-// occupancy board.
+// Per-worker scheduler counters, plus the shared occupancy board.
 //
 // The WorkerStats counters are plain (non-atomic) because each instance is
 // written only by its owning worker and sits on its own cache line;
 // aggregation snapshots tolerate slight staleness (they are for
-// tests/benches, not control flow). The StarvationBoard is the opposite: a
-// deliberately *shared* signal surface, written with relaxed atomics from
-// the steal path. It carries two families of state:
-//  * per-domain starvation gauges (ready depth + failed rounds) that replace
-//    purely per-thief escalation state with a "this whole domain is
-//    starving" verdict;
-//  * per-worker occupancy bits with a domain/root fold — the victim-hint and
-//    quiescence side (see the occupancy section below).
+// tests/benches, not control flow). The OccupancyBoard is the opposite: a
+// deliberately *shared* signal surface, written with relaxed atomics —
+// per-worker occupancy bits with a domain/root fold, the victim-probe and
+// quiescence side of the scheduler.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +44,6 @@ namespace xk {
   X(readylist_pops)           \
   X(shard_hits)               \
   X(shard_misses)             \
-  X(starvation_escalations)   \
   X(renames)                  \
   X(scan_visited)             \
   X(scan_entries)             \
@@ -85,9 +79,6 @@ struct WorkerStats {
                                    ///  queues)
   std::uint64_t shard_misses = 0;  ///< pops that crossed into another domain's
                                    ///  shard after the local one ran dry
-  std::uint64_t starvation_escalations = 0;  ///< victim draws widened to remote
-                                             ///  domains early by the shared
-                                             ///  starvation signal
   std::uint64_t renames = 0;
   std::uint64_t scan_visited = 0;      ///< candidates readiness-checked
   std::uint64_t scan_entries = 0;      ///< live cache entries walked by scans
@@ -149,108 +140,29 @@ inline std::ostream& operator<<(std::ostream& os, const WorkerStats& s) {
   return os;
 }
 
-/// Global per-domain starvation gauges — the "domain is starving" signal
-/// the sharded steal path keys off. One cache-line-padded gauge per dense
-/// locality-domain rank (Placement::Slot::domain_rank):
-///
-///  * `ready`  — tasks currently sitting in this domain's ready-list shards
-///    (across all frames). A domain with queued ready work is never
-///    starving, no matter how many of its thieves report failure.
-///  * `failed` — failed *local* victim rounds accumulated across every
-///    thief of the domain since its last successful steal.
-///
-/// All accesses are relaxed: the signal is a heuristic and tolerates
-/// staleness. What it buys over the per-thief `local_fails_` counter is
-/// that the failures of *other* thieves in the domain count too — one thief
-/// can conclude "my whole domain is dry" after far fewer of its own rounds,
-/// and a combiner on the far side can see which requesters are desperate.
-class StarvationBoard {
+/// One "has work" byte per worker, published by the owner only on its
+/// 0<->1 frame-depth transitions, plus a two-level fold: per-domain
+/// occupied-worker counts (one cache-line-padded gauge per dense
+/// locality-domain rank, Placement::Slot::domain_rank, written at the
+/// worker's 0<->1 bit transitions) and a machine-wide occupied-domain count
+/// at the root (written at a domain's 0<->1 transitions). The bytes are
+/// packed unpadded on purpose: transitions are rare (once per stolen reply,
+/// not per task), so the line stays read-mostly and a thief's victim draw
+/// reads many bits from one line instead of many workers' hot depth words.
+/// Everything is a relaxed heuristic hint EXCEPT the root count's last
+/// 1->0 edge, which doubles as the section-quiescence event: when armed, it
+/// fires the registered parkers exactly once (the exchange below), in place
+/// of per-completion progress broadcasts.
+class OccupancyBoard {
  public:
-  /// Sizes the board for `ndomains` dense domain ranks. Must be called
-  /// before workers run (Runtime does it right after computing placement);
-  /// all methods are safe no-ops on an un-init'ed board.
+  /// Sizes the per-domain fold for `ndomains` dense domain ranks. Must be
+  /// called before workers run (Runtime does it right after computing
+  /// placement); all methods are safe no-ops on an un-init'ed board.
   void init(unsigned ndomains) {
     gauges_ = std::vector<Padded<Gauge>>(std::max(ndomains, 1u));
   }
 
   unsigned ndomains() const { return static_cast<unsigned>(gauges_.size()); }
-
-  /// Ready-shard depth accounting. Increments and decrements both ride
-  /// the owning ReadyList's lock: the push and the gauge bump are one
-  /// critical section, and so is the settle performed by whichever of a
-  /// pop and a completion reaches the node first, so depth never lags the
-  /// deques by more than the relaxed-gauge staleness the verdict already
-  /// tolerates.
-  void add_ready(unsigned rank, std::int64_t delta) {
-    if (Gauge* g = gauge(rank)) {
-      g->ready.fetch_add(delta, std::memory_order_relaxed);
-    }
-  }
-
-  std::int64_t ready_depth(unsigned rank) const {
-    const Gauge* g = gauge(rank);
-    return g != nullptr ? g->ready.load(std::memory_order_relaxed) : 0;
-  }
-
-  /// A thief of this domain finished a local victim round empty-handed.
-  void record_failed_round(unsigned rank) {
-    if (Gauge* g = gauge(rank)) {
-      g->failed.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// A thief of this domain obtained work: the domain is provably not dry.
-  void record_progress(unsigned rank) {
-    if (Gauge* g = gauge(rank)) {
-      // xk-order: starvation gauge reset — readers are heuristic (victim
-      // draw, reply deal) and tolerate arbitrary staleness by design.
-      g->failed.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  /// Clears every domain's failed-round gauge (ready depths are left
-  /// alone — they track real shard contents). Runtime::begin() calls this:
-  /// the famine at the end of one parallel section would otherwise carry a
-  /// stale "everything is starving" verdict into the next section's first
-  /// draws.
-  void reset_rounds() {
-    for (auto& g : gauges_) {
-      // xk-order: same heuristic-gauge contract as record_progress; the
-      // section open this rides is serialized by section_mu_ anyway.
-      g->failed.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  std::uint64_t failed_rounds(unsigned rank) const {
-    const Gauge* g = gauge(rank);
-    return g != nullptr ? g->failed.load(std::memory_order_relaxed) : 0;
-  }
-
-  /// The shared verdict: at least `threshold` failed local rounds since the
-  /// domain's last progress, with nothing queued in its ready shards.
-  /// `threshold` 0 disables the signal.
-  bool starving(unsigned rank, std::uint64_t threshold) const {
-    if (threshold == 0) return false;
-    const Gauge* g = gauge(rank);
-    return g != nullptr &&
-           g->failed.load(std::memory_order_relaxed) >= threshold &&
-           g->ready.load(std::memory_order_relaxed) <= 0;
-  }
-
-  // ---- occupancy bits + quiescence fold (PR 6) -------------------------
-  //
-  // One "has work" byte per worker, published by the owner only on its
-  // 0<->1 frame-depth transitions, plus a two-level fold: per-domain
-  // occupied-worker counts (in the padded Gauge, written at the worker's
-  // 0<->1 bit transitions) and a machine-wide occupied-domain count at the
-  // root (written at a domain's 0<->1 transitions). The bytes are packed
-  // unpadded on purpose: transitions are rare (once per stolen reply, not
-  // per task), so the line stays read-mostly and a thief's victim draw
-  // reads many bits from one line instead of many workers' hot depth
-  // words. Everything is a heuristic hint EXCEPT the root count's last
-  // 1->0 edge, which doubles as the section-quiescence event: when armed,
-  // it fires the registered parkers exactly once (the exchange below), in
-  // place of per-completion progress broadcasts.
 
   /// Sizes the per-worker occupancy bits; `worker_ranks[i]` is worker i's
   /// dense domain rank. Must be called after init() and before workers run.
@@ -331,8 +243,6 @@ class StarvationBoard {
 
  private:
   struct Gauge {
-    std::atomic<std::int64_t> ready{0};
-    std::atomic<std::uint64_t> failed{0};
     std::atomic<std::int64_t> occupied{0};  ///< workers of this domain with
                                             ///  a non-empty frame stack
   };

@@ -34,6 +34,12 @@ inline void check_task_store(Task* t, TaskState next) {
   (void)t;
   (void)next;
 }
+
+/// Failed local-tier steal rounds before a thief widens its victim draw to
+/// remote locality domains. Each failed round costs a yield (see
+/// try_steal_once), so the budget bounds how long a thief stays loyal to a
+/// dry domain while its work sits elsewhere.
+constexpr int kLocalStealTries = 4;
 }  // namespace
 
 Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
@@ -54,7 +60,7 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
     park_threshold_ = backoff_limit_ + 1;
   }
   // Locality snapshot: Runtime computes the placement (and sizes the
-  // starvation board) before constructing any worker, so the victim
+  // occupancy board) before constructing any worker, so the victim
   // ordering and the board pointer are stable for the runtime's life.
   const Placement& pl = rt.placement();
   if (id_ < pl.slots.size()) {
@@ -64,10 +70,7 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
   VictimOrder vo = steal_victim_order(pl, id_);
   victim_order_ = std::move(vo.order);
   nlocal_victims_ = vo.nlocal;
-  steal_local_tries_ = rt.config().steal_local_tries;
-  starve_rounds_ = std::max(rt.config().starve_rounds, 0);
-  shard_ready_ = rt.config().shard_ready_list;
-  starvation_ = &rt.starvation();
+  occupancy_ = &rt.occupancy();
   deterministic_victims_ = pl.deterministic;
   victim_rr_ = id_;  // stagger rotating thieves off a common first victim
 }
@@ -85,7 +88,7 @@ void Worker::frame_overflow() {
 void Worker::publish_occupancy(bool occupied) {
   // Published after the depth store on push: a thief that sees the bit and
   // probes finds the frame already there.
-  const unsigned folds = starvation_->publish_occupied(id_, occupied);
+  const unsigned folds = occupancy_->publish_occupied(id_, occupied);
   stats_->quiesce_folds += folds;
   if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, occupied ? 1 : 0);
 }
@@ -405,17 +408,7 @@ bool Worker::help_from_ready_list(Task* t, Frame& f) {
 Worker* Worker::pick_victim(bool& local_phase) {
   const auto nv = static_cast<unsigned>(victim_order_.size());
   local_phase = nlocal_victims_ != 0 && nlocal_victims_ != nv &&
-                steal_local_tries_ > 0 && local_fails_ < steal_local_tries_;
-  if (local_phase && starve_rounds_ > 0 &&
-      starvation_->starving(domain_rank_,
-                            static_cast<std::uint64_t>(starve_rounds_))) {
-    // The domain-wide signal overrides the per-thief budget: every thief
-    // of this domain together has come up empty starve_rounds times since
-    // the domain last obtained work, so burning the rest of this thief's
-    // own local tries would only delay the inevitable remote pull.
-    stats_->starvation_escalations++;
-    local_phase = false;
-  }
+                local_fails_ < kLocalStealTries;
   // The draw never lands on this worker: victim_order_ excludes self by
   // construction, so the first probe is always a real victim (the old flat
   // draw could burn its start slot on self and fall through to the busy
@@ -424,20 +417,11 @@ Worker* Worker::pick_victim(bool& local_phase) {
   const unsigned turn = deterministic_victims_
                             ? victim_rr_++
                             : static_cast<unsigned>(rng_.next());
-  if (steal_local_tries_ <= 0) {
-    // Local preference disabled (XK_STEAL_LOCAL_TRIES=0): one flat draw
-    // over every victim, the PR 2 ablation baseline.
-    const unsigned start = turn % nv;
-    for (unsigned k = 0; k < nv; ++k) {
-      Worker& v = rt_.worker(victim_order_[(start + k) % nv]);
-      if (probe_victim(v)) return &v;
-    }
-    return nullptr;
-  }
   // Tier 1: the local tier, rotated start within it. Probing tiers in
   // order (rather than one draw over the whole vector) is what makes the
   // preference strict: a busy same-domain victim always beats a remote
-  // one, even after escalation.
+  // one, even after escalation. On a flat machine every victim is local,
+  // so this tier is the whole draw.
   if (nlocal_victims_ != 0) {
     const unsigned start = turn % nlocal_victims_;
     for (unsigned k = 0; k < nlocal_victims_; ++k) {
@@ -470,7 +454,7 @@ bool Worker::try_steal_once() {
   bool local_phase = false;
   Worker* victim = pick_victim(local_phase);
   if (victim == nullptr) {
-    // An idle local tier counts as a failed local round: steal_local_tries
+    // An idle local tier counts as a failed local round: kLocalStealTries
     // such rounds escalate the draw to remote domains (work may all be
     // remote while this domain drains). Each failed round costs a yield —
     // without it the escalation budget burns in a handful of relaxed loads
@@ -479,7 +463,6 @@ bool Worker::try_steal_once() {
     // remote victim) gets the cpu first.
     if (local_phase) {
       ++local_fails_;
-      if (starve_rounds_ > 0) starvation_->record_failed_round(domain_rank_);
       std::this_thread::yield();
     }
     return false;
@@ -532,10 +515,8 @@ bool Worker::try_steal_once() {
       }
       obs::emit_span(obs::Ev::kStealServed, req_t0, victim->id(), won ? 1 : 0,
                      remote ? 1 : 0);
-      // Any success re-engages the local-first preference and clears the
-      // domain's shared failed-round gauge (work is reaching it again).
+      // Any success re-engages the local-first preference.
       local_fails_ = 0;
-      if (starve_rounds_ > 0) starvation_->record_progress(domain_rank_);
       if (won) execute_reply(t, fr);
       return true;
     }
@@ -545,10 +526,7 @@ bool Worker::try_steal_once() {
       // the slot with its own release edge.
       slot.status.store(StealRequest::kEmpty, std::memory_order_relaxed);
       obs::emit_span(obs::Ev::kStealFailed, req_t0, victim->id());
-      if (local_phase) {
-        ++local_fails_;
-        if (starve_rounds_ > 0) starvation_->record_failed_round(domain_rank_);
-      }
+      if (local_phase) ++local_fails_;
       return false;
     }
     if (try_combine(*victim)) continue;  // our slot is now Served or Failed
@@ -777,33 +755,22 @@ std::size_t Worker::deal_pool(std::vector<PendingReq>& pending,
   const std::size_t remaining = pending.size() - served;
   if (pool.size() < remaining) {
     // Scarce replies: not every waiting thief gets one this round. Serve
-    // the desperate first — thieves of starving domains (nothing local to
-    // fall back on), then idle thieves (empty stacks; a suspended owner
-    // that gets kFailed here still has its own frames to mind and a
-    // reclaim fallback). A thief of a healthy domain that misses out will
-    // land on a local victim on its next draw. The reorder is a stable
-    // partition through a reused scratch vector (std::stable_partition may
-    // malloc a temporary buffer, and this runs under the victim's steal
-    // mutex); box order still breaks ties, and when every requester is an
-    // equally-idle thief of a healthy domain (the common flat-machine
-    // round) the order is untouched. The combiner's own slot gets no
-    // special treatment: if it ends up past the receiver window, the deal
-    // below still hands one task to each receiver and strands nothing.
-    const auto thr = static_cast<std::uint64_t>(starve_rounds_);
+    // idle thieves first (empty stacks); a suspended owner that gets
+    // kFailed here still has its own frames to mind and a reclaim
+    // fallback. The reorder is a stable partition through a reused scratch
+    // vector (std::stable_partition may malloc a temporary buffer, and
+    // this runs under the victim's steal mutex); box order still breaks
+    // ties, and when every requester is idle the order is untouched. The
+    // combiner's own slot gets no special treatment: if it ends up past
+    // the receiver window, the deal below still hands one task to each
+    // receiver and strands nothing.
     std::vector<PendingReq>& scratch = deal_scratch_;
     scratch.resize(remaining);
-    // Evaluate the (racy, relaxed) verdict exactly once per request:
-    // desperate entries fill the scratch from the front, the rest from the
-    // back in reverse — one reverse restores their box order, giving a
-    // stable partition without a second starving() pass that a concurrent
-    // gauge update could contradict.
+    // Idle entries fill the scratch from the front, the rest from the back
+    // in reverse — one reverse restores their box order.
     std::size_t lo = 0, hi = remaining;
     for (std::size_t i = served; i < pending.size(); ++i) {
-      const bool desperate =
-          (starve_rounds_ > 0 &&
-           starvation_->starving(pending[i].domain_rank, thr)) ||
-          pending[i].idle;
-      if (desperate) {
+      if (pending[i].idle) {
         scratch[lo++] = pending[i];
       } else {
         scratch[--hi] = pending[i];
@@ -852,7 +819,7 @@ void Worker::combine_on(Worker& victim) {
     StealRequest& s = victim.request_slot(i);
     if (s.status.load(std::memory_order_acquire) == StealRequest::kPosted) {
       if (aggregate || i == id_) {
-        pending.push_back({&s, rt_.worker(i).domain_rank(), s.idle});
+        pending.push_back({&s, s.idle});
       }
     }
   }
@@ -984,18 +951,11 @@ void Worker::combine_on(Worker& victim) {
   // Attach the accelerating structure once traversals get expensive
   // (§II-C), sharded one ready deque per locality domain so producers and
   // consumers of different domains stop funneling through one deque's
-  // cache lines (flat machines and XK_RL_SHARD=0 get a single shard).
+  // cache lines (flat machines get a single shard).
   if (served < pending.size() && threshold != 0 &&
       scanned_blocked > threshold && hottest != nullptr &&
       hottest->ready_list.load(std::memory_order_relaxed) == nullptr) {
-    // The board hook only makes sense with domain-keyed shards: a single
-    // forced shard (XK_RL_SHARD=0) would credit every domain's ready depth
-    // to rank 0 and corrupt the starvation veto, so the unsharded ablation
-    // runs without depth tracking (starvation falls back to pure
-    // failed-round counting).
-    auto* rl = shard_ready_ ? new ReadyList(*hottest, rt_.ndomains(),
-                                            &rt_.starvation())
-                            : new ReadyList(*hottest);
+    auto* rl = new ReadyList(*hottest, rt_.ndomains());
     hottest->ready_list.store(rl, std::memory_order_release);
     rl->extend(domain_rank_);
     stats_->readylist_attach++;

@@ -126,7 +126,7 @@ class Worker {
   unsigned domain() const { return domain_; }
 
   /// Dense domain index in [0, Runtime::ndomains()): the key for ready-list
-  /// shards and the starvation board (node ids can be sparse; see
+  /// shards and the occupancy board (node ids can be sparse; see
   /// Placement::Slot::domain_rank).
   unsigned domain_rank() const { return domain_rank_; }
 
@@ -224,7 +224,7 @@ class Worker {
   }
 
   /// One steal attempt: pick a victim (same-domain first, escalating to
-  /// remote domains after steal_local_tries failed local rounds), post a
+  /// remote domains after kLocalStealTries failed local rounds), post a
   /// request, spin until it is served or failed (possibly becoming the
   /// combiner). Returns true when work was obtained *and executed*.
   bool try_steal_once();
@@ -336,10 +336,9 @@ class Worker {
   ReadyList* own_ready_list(Frame& f);
 
   /// Two-level victim draw over victim_order_: while local_fails_ has not
-  /// exhausted steal_local_tries_ — and the starvation board does not
-  /// declare this worker's whole domain starving — the draw spans only the
-  /// local tier; afterwards it spans every victim (local tier still first
-  /// in the order). Returns the first busy-looking candidate from a random
+  /// exhausted the per-thief local budget (kLocalStealTries, worker.cpp)
+  /// the draw spans only the local tier; afterwards it spans every victim
+  /// (local tier still first in the order). Returns the first busy-looking candidate from a random
   /// (or, under a synthetic topology, deterministically rotating) start, or
   /// nullptr when nothing looks busy. Sets `local_phase` to whether this
   /// draw was restricted to the local tier.
@@ -372,14 +371,10 @@ class Worker {
     Frame* frame;
   };
 
-  /// One posted request the combiner will answer, with the locality of the
-  /// thief behind it (box slot i belongs to thief i): the starvation-aware
-  /// deal serves thieves of starving domains first when replies are scarce.
-  /// `idle` snapshots the request's idle bit for the scarce deal's priority
-  /// partition.
+  /// One posted request the combiner will answer. `idle` snapshots the
+  /// request's idle bit for the scarce deal's priority partition.
   struct PendingReq {
     StealRequest* slot;
-    unsigned domain_rank;
     bool idle;
   };
 
@@ -391,8 +386,7 @@ class Worker {
   /// Deals the reply pool to pending[served..], one distinct task per
   /// request; the combiner's own slot takes the oldest. Publishes the
   /// served slots and returns the new served count. When the pool cannot
-  /// cover every waiting thief, thieves of starving domains — and then idle
-  /// thieves — are served first.
+  /// cover every waiting thief, idle thieves are served first.
   std::size_t deal_pool(std::vector<PendingReq>& pending, std::size_t served,
                         StealRequest* self_slot);
 
@@ -410,7 +404,7 @@ class Worker {
   /// instead of every candidate's hot depth word (skips counted as
   /// probes_skipped).
   bool probe_victim(Worker& v) {
-    if (starvation_->occupied(v.id())) return true;
+    if (occupancy_->occupied(v.id())) return true;
     stats_->probes_skipped++;
     return false;
   }
@@ -434,13 +428,10 @@ class Worker {
   unsigned domain_rank_ = 0;            ///< dense domain index (shard key)
   std::vector<unsigned> victim_order_;  ///< local tier first, self excluded
   unsigned nlocal_victims_ = 0;
-  int steal_local_tries_ = 0;           ///< failed local rounds before escalating
-  int starve_rounds_ = 0;               ///< domain-wide threshold (0 = off)
-  bool shard_ready_ = true;             ///< attach domain-sharded ready lists
   bool deterministic_victims_ = false;  ///< synthetic topo: rotate, don't draw
   unsigned victim_rr_ = 0;              ///< rotation cursor (deterministic mode)
   int local_fails_ = 0;                 ///< consecutive failed local-tier rounds
-  StarvationBoard* starvation_ = nullptr;  ///< the runtime's shared gauges
+  OccupancyBoard* occupancy_ = nullptr;  ///< the runtime's occupancy bits
   // The runtime's shared parkers (cached: Runtime is incomplete here).
   Parker* work_parker_;
   Parker* progress_parker_;
@@ -476,7 +467,7 @@ class Worker {
   // Combiner-side scratch, reused across rounds to kill per-round heap
   // churn. Only this worker (as combiner) touches its own scratch.
   std::vector<PendingReq> pending_scratch_;
-  std::vector<PendingReq> deal_scratch_;  ///< desperate-first reorder buffer
+  std::vector<PendingReq> deal_scratch_;  ///< idle-first reorder buffer
   std::vector<Task*> adaptive_scratch_;
   std::vector<const Task*> prefix_scratch_;
   std::vector<Task*> batch_scratch_;

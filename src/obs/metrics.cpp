@@ -21,7 +21,6 @@ std::string MetricsSnapshot::to_json(int indent) const {
   for (std::size_t i = 0; i < domains.size(); ++i) {
     const DomainGauge& d = domains[i];
     os << (i == 0 ? "\n" : ",\n") << pad << "    {\"rank\": " << d.rank
-       << ", \"ready\": " << d.ready << ", \"failed\": " << d.failed
        << ", \"occupied\": " << d.occupied << "}";
   }
   os << "\n" << pad << "  ]\n";
@@ -37,8 +36,8 @@ void MetricsSnapshot::dump(std::ostream& os) const {
   }
   os << "\n";
   for (const DomainGauge& d : domains) {
-    os << "[xk] domain rank=" << d.rank << " ready=" << d.ready
-       << " failed=" << d.failed << " occupied=" << d.occupied << "\n";
+    os << "[xk] domain rank=" << d.rank << " occupied=" << d.occupied
+       << "\n";
   }
 }
 

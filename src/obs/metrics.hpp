@@ -2,10 +2,10 @@
 // subsystem.
 //
 // A MetricsSnapshot is a generic bag of named counters plus the
-// per-domain gauge rows of the starvation/occupancy board, filled by
+// per-domain gauge rows of the occupancy board, filled by
 // Runtime::metrics_snapshot() (core depends on obs, not the other way
 // round — this type deliberately knows nothing about WorkerStats or
-// StarvationBoard). Three consumers share it:
+// OccupancyBoard). Three consumers share it:
 //  * bench/common.hpp embeds to_json() output as the `counters` /
 //    `domains` objects of a schema-v1 BENCH_*.json record;
 //  * the Chrome trace writer appends one snapshot per traced runtime
@@ -25,12 +25,10 @@ struct MetricsSnapshot {
   /// Aggregated scheduler counters, in WorkerStats declaration order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
-  /// One row per dense locality-domain rank of the StarvationBoard.
+  /// One row per dense locality-domain rank of the OccupancyBoard.
   struct DomainGauge {
     unsigned rank = 0;
-    std::int64_t ready = 0;       ///< queued ready-shard depth
-    std::uint64_t failed = 0;     ///< failed local rounds since last progress
-    std::int64_t occupied = 0;    ///< workers with a non-empty frame stack
+    std::int64_t occupied = 0;  ///< workers with a non-empty frame stack
   };
   std::vector<DomainGauge> domains;
 
@@ -40,7 +38,7 @@ struct MetricsSnapshot {
   /// JSON object:
   ///   {"nworkers":N,"root_occupied":R,
   ///    "counters":{"tasks_spawned":...,...},
-  ///    "domains":[{"rank":0,"ready":...,"failed":...,"occupied":...},...]}
+  ///    "domains":[{"rank":0,"occupied":...},...]}
   /// `indent` spaces prefix every line after the first (for embedding in
   /// an already-indented report); 0 keeps it multi-line but flush-left.
   std::string to_json(int indent = 0) const;

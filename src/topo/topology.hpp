@@ -128,7 +128,7 @@ struct Placement {
     unsigned cpu_os_id = 0;   ///< bind target (mod visible cores, best-effort)
     unsigned domain = 0;      ///< locality domain (NUMA node id)
     unsigned domain_rank = 0; ///< dense domain index in [0, ndomains) — what
-                              ///  ready-list shards and the starvation board
+                              ///  ready-list shards and the occupancy board
                               ///  are keyed by (node ids can be sparse, e.g.
                               ///  an XK_CPUSET spanning nodes 0 and 2)
   };

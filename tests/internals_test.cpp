@@ -435,37 +435,30 @@ TEST(ReadyListShard, SingleShardKeepsGlobalFifo) {
   EXPECT_EQ(rl.pop_ready_claimed(), t1);
 }
 
-TEST(ReadyListShard, BoardTracksShardDepths) {
-  xk::StarvationBoard board;
-  board.init(2);
+TEST(ReadyListShard, LiveDepthSettlesAtCompletion) {
   RlFixture fx;
   double a = 0, b = 0, c = 0;
   fx.add(&a, 8, xk::AccessMode::kWrite);
   xk::Task* t1 = fx.add(&b, 8, xk::AccessMode::kWrite);
   fx.add(&c, 8, xk::AccessMode::kWrite);
-  {
-    xk::ReadyList rl(fx.frame, 2, &board);
-    rl.extend(/*shard=*/1);
-    EXPECT_EQ(board.ready_depth(1), 3);
-    EXPECT_EQ(board.ready_depth(0), 0);
-    xk::Task* out[1] = {};
-    ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 1), 1u);
-    EXPECT_EQ(board.ready_depth(1), 2);
-    // Owner FIFO claims and finishes t1 while its id still sits in the
-    // shard deque: the gauge contribution must return at completion, not
-    // wait for a combiner to pop the dead id — phantom depth would veto
-    // real starvation verdicts.
-    ASSERT_TRUE(t1->try_claim(xk::TaskState::kRunOwner));
-    rl.on_complete(t1, /*shard=*/1);
-    t1->state.store(xk::TaskState::kTerm);
-    EXPECT_EQ(board.ready_depth(1), 1);
-    // The shard's own live-depth gauge mirrors the board at every step
-    // (they are updated together under the list's lock).
-    EXPECT_EQ(rl.shard_live_depth(1), board.ready_depth(1));
-    // rl destroyed with one live task still queued (plus t1's dead id):
-    // the destructor returns exactly the live contribution.
-  }
-  EXPECT_EQ(board.ready_depth(1), 0);
+  xk::ReadyList rl(fx.frame, 2);
+  rl.extend(/*shard=*/1);
+  EXPECT_EQ(rl.shard_live_depth(1), 3);
+  EXPECT_EQ(rl.shard_live_depth(0), 0);
+  xk::Task* out[1] = {};
+  ASSERT_EQ(rl.pop_ready_claimed_batch(out, 1, 1), 1u);
+  EXPECT_EQ(rl.shard_live_depth(1), 2);
+  // Owner FIFO claims and finishes t1 while its id still sits in the
+  // shard deque: the depth must return at completion, not wait for a
+  // combiner to pop the dead id — phantom depth would send the owner's
+  // help loop (approx_ready) after work that is not there.
+  ASSERT_TRUE(t1->try_claim(xk::TaskState::kRunOwner));
+  rl.on_complete(t1, /*shard=*/1);
+  t1->state.store(xk::TaskState::kTerm);
+  EXPECT_EQ(rl.shard_live_depth(1), 1);
+  EXPECT_EQ(rl.approx_ready(), 1);
+  // The dead id is still in the deque; only the live count dropped.
+  EXPECT_EQ(rl.shard_ready_size(1), 2u);
 }
 
 // Replays the claim-race fold scenario of ClaimedElsewhereTermFoldsInOrder
@@ -954,58 +947,21 @@ TEST(ReadyListGraph, MixedProgramMatchesProgramOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Starvation board.
+// Occupancy board: the per-worker bits, their domain/root fold and the
+// quiescence event.
 // ---------------------------------------------------------------------------
 
-TEST(StarvationBoardTest, ThresholdProgressAndReadyVeto) {
-  xk::StarvationBoard b;
-  b.init(2);
-  EXPECT_FALSE(b.starving(1, 2));
-  b.record_failed_round(1);
-  EXPECT_FALSE(b.starving(1, 2));
-  b.record_failed_round(1);
-  EXPECT_TRUE(b.starving(1, 2));
-  EXPECT_FALSE(b.starving(0, 2));  // per-domain: domain 0 untouched
-  // Progress (any successful steal by a domain thief) clears the gauge.
-  b.record_progress(1);
-  EXPECT_FALSE(b.starving(1, 2));
-  // Queued ready work in the domain's shards vetoes the verdict even past
-  // the failed-round threshold.
-  b.record_failed_round(1);
-  b.record_failed_round(1);
-  b.add_ready(1, 1);
-  EXPECT_FALSE(b.starving(1, 2));
-  b.add_ready(1, -1);
-  EXPECT_TRUE(b.starving(1, 2));
-  // Threshold 0 disables the signal outright.
-  EXPECT_FALSE(b.starving(1, 0));
-  // Section-boundary reset (Runtime::begin): failed rounds clear, ready
-  // depths are real state and survive.
-  b.add_ready(0, 3);
-  b.reset_rounds();
-  EXPECT_FALSE(b.starving(1, 2));
-  EXPECT_EQ(b.ready_depth(0), 3);
-}
-
-TEST(StarvationBoardTest, UninitializedBoardIsInert) {
-  xk::StarvationBoard b;
-  b.record_failed_round(0);
-  b.add_ready(0, 5);
-  EXPECT_FALSE(b.starving(0, 1));
-  EXPECT_EQ(b.ready_depth(0), 0);
-  // The occupancy side is equally inert without init_occupancy().
+TEST(OccupancyBoardTest, UninitializedBoardIsInert) {
+  xk::OccupancyBoard b;
+  // Without init()/init_occupancy() every call is a safe no-op.
   EXPECT_EQ(b.publish_occupied(0, true), 0u);
   EXPECT_FALSE(b.occupied(0));
+  EXPECT_EQ(b.domain_occupied(0), 0);
   EXPECT_EQ(b.root_occupied(), 0);
 }
 
-// ---------------------------------------------------------------------------
-// Occupancy bits + the quiescence fold (the victim-hint / termination side
-// of the board).
-// ---------------------------------------------------------------------------
-
-TEST(StarvationBoardTest, OccupancyBitsFoldUpDomainAndRoot) {
-  xk::StarvationBoard b;
+TEST(OccupancyBoardTest, OccupancyBitsFoldUpDomainAndRoot) {
+  xk::OccupancyBoard b;
   b.init(2);
   b.init_occupancy({0, 0, 1});  // workers 0,1 -> domain 0; worker 2 -> domain 1
   EXPECT_FALSE(b.occupied(0));
@@ -1043,8 +999,8 @@ TEST(StarvationBoardTest, OccupancyBitsFoldUpDomainAndRoot) {
   EXPECT_FALSE(b.occupied(7));
 }
 
-TEST(StarvationBoardTest, QuiesceFiresExactlyOnceAndDisarms) {
-  xk::StarvationBoard b;
+TEST(OccupancyBoardTest, QuiesceFiresExactlyOnceAndDisarms) {
+  xk::OccupancyBoard b;
   b.init(1);
   b.init_occupancy({0});
   xk::Parker work, progress;
@@ -1067,8 +1023,8 @@ TEST(StarvationBoardTest, QuiesceFiresExactlyOnceAndDisarms) {
   EXPECT_FALSE(b.quiesce_armed());
 }
 
-TEST(StarvationBoardTest, QuiesceWakesParkedWaiterByNotification) {
-  xk::StarvationBoard b;
+TEST(OccupancyBoardTest, QuiesceWakesParkedWaiterByNotification) {
+  xk::OccupancyBoard b;
   b.init(1);
   b.init_occupancy({0});
   xk::Parker work, progress;
@@ -1213,17 +1169,14 @@ TEST(TopoSteal, LocalRemoteCountersAccountForEverySteal) {
   EXPECT_GT(s.steals_ok, 0u);
 }
 
-TEST(TopoSteal, StarvationSignalEscalatesAsymmetricShape) {
+TEST(TopoSteal, AsymmetricShapeEscalatesToRemote) {
   // Asymmetric machine, work rooted in the small domain: domain 1's six
-  // thieves can only reach it across the boundary, and with the per-thief
-  // local-tries budget set out of reach only the shared starvation signal
-  // can get them there early.
+  // thieves can only reach it across the boundary, so the constant
+  // per-thief local budget must run out and widen their draw to domain 0.
   xk::Config cfg;
   cfg.nworkers = 8;
   cfg.topo = "1x2+1x6";
   cfg.place = "compact";       // w0,w1 -> domain 0; w2..w7 -> domain 1
-  cfg.steal_local_tries = 1 << 20;  // per-thief escalation: effectively never
-  cfg.starve_rounds = 2;            // the domain-wide signal must do it
   xk::Runtime rt(cfg);
   ASSERT_EQ(rt.ndomains(), 2u);
   EXPECT_EQ(rt.worker(0).domain(), 0u);
@@ -1232,7 +1185,7 @@ TEST(TopoSteal, StarvationSignalEscalatesAsymmetricShape) {
   EXPECT_EQ(rt.worker(7).domain_rank(), 1u);
 
   // On a 1-core CI box the tree can drain before the pool workers are ever
-  // scheduled; rerun (accumulating counters) until the signal fired.
+  // scheduled; rerun (accumulating counters) until a remote steal landed.
   xk::WorkerStats s;
   for (int attempt = 0; attempt < 20; ++attempt) {
     std::uint64_t r = 0;
@@ -1242,9 +1195,8 @@ TEST(TopoSteal, StarvationSignalEscalatesAsymmetricShape) {
     });
     EXPECT_EQ(r, 46368u);
     s = rt.stats_snapshot();
-    if (s.starvation_escalations > 0 && s.steals_remote > 0) break;
+    if (s.steals_remote > 0) break;
   }
-  EXPECT_GT(s.starvation_escalations, 0u);
   EXPECT_GT(s.steals_remote, 0u);
   EXPECT_EQ(s.steals_ok, s.steals_local + s.steals_remote);
 }
@@ -1293,61 +1245,92 @@ TEST(AdaptiveSteal, ModesProduceIdenticalResults) {
 
 TEST(StealDeal, EachRequestGetsOneTaskCombinerTheOldest) {
   // One combine round driven by hand: k thieves post into the master's box
-  // while its frame's ready list holds d > k ready tasks. No pool thread
+  // while its frame's ready list holds `depth` ready tasks. No pool thread
   // exists (nworkers = 1); the thread-less master slots 1..k are the
-  // thieves, slot 1 the combiner.
+  // thieves, slot 1 the combiner. `busy` (0 = none) names a thief that
+  // posts as a suspended owner rather than an idle thief.
   constexpr unsigned kThieves = 3;
-  constexpr std::size_t kDepth = 8;
   xk::Config cfg;
   cfg.nworkers = 1;
   cfg.sections = kThieves + 1;
   cfg.topo = "1x4";
   xk::Runtime rt(cfg);
   ASSERT_EQ(rt.nworkers_total(), kThieves + 1);
-  std::vector<int> cells(kDepth, 0);
-  rt.run([&] {
-    xk::Worker& victim = *xk::this_worker();
-    ASSERT_EQ(victim.id(), 0u);
-    xk::Frame& f = victim.current_frame();
-    for (std::size_t i = 0; i < kDepth; ++i) {
-      xk::spawn([](int* c) { *c = 1; }, xk::write(&cells[i]));
-    }
-    std::vector<xk::Task*> tasks;  // program order: oldest first
-    for (xk::Frame::Iterator it(f); it.index() < kDepth; it.advance()) {
-      tasks.push_back(it.get());
-    }
-    auto* rl = new xk::ReadyList(f);  // the frame's reset deletes it
-    f.ready_list.store(rl, std::memory_order_release);
-    for (unsigned i = 1; i <= kThieves; ++i) {
-      victim.request_slot(i).status.store(xk::StealRequest::kPosted);
-    }
-    ASSERT_TRUE(rt.worker(1).try_combine(victim));
 
-    std::vector<xk::Task*> replies;
-    for (unsigned i = 1; i <= kThieves; ++i) {
-      xk::StealRequest& s = victim.request_slot(i);
-      ASSERT_EQ(s.status.load(), xk::StealRequest::kServed) << i;
-      ASSERT_NE(s.reply, nullptr) << i;
-      EXPECT_EQ(s.reply_frame, &f) << i;
-      EXPECT_EQ(s.reply->load_state(), xk::TaskState::kStolenClaim) << i;
-      replies.push_back(s.reply);
-    }
-    // The combiner's own slot takes the oldest task; the k oldest are
-    // dealt once each, and the other d - k stay in the list.
-    EXPECT_EQ(victim.request_slot(1).reply, tasks[0]);
-    std::sort(replies.begin(), replies.end());
-    std::vector<xk::Task*> oldest(tasks.begin(), tasks.begin() + kThieves);
-    std::sort(oldest.begin(), oldest.end());
-    EXPECT_EQ(replies, oldest);
-    EXPECT_EQ(rl->ready_size(), kDepth - kThieves);
-    // Drop the replies unclaimed, as thieves that lost the claim race: the
-    // owner's drain reclaims the three and runs everything.
-    for (unsigned i = 1; i <= kThieves; ++i) {
-      victim.request_slot(i).status.store(xk::StealRequest::kEmpty);
-    }
-    xk::sync();
-  });
-  for (int c : cells) EXPECT_EQ(c, 1);
+  struct Round {
+    std::vector<xk::Task*> tasks;    // program order: oldest first
+    std::vector<xk::Task*> replies;  // per box slot; null = kFailed
+    std::size_t left = 0;            // still in the ready list
+  };
+  auto combine_round = [&](std::size_t depth, unsigned busy, Round& out) {
+    std::vector<int> cells(depth, 0);
+    out.replies.assign(kThieves + 1, nullptr);
+    rt.run([&] {
+      xk::Worker& victim = *xk::this_worker();
+      ASSERT_EQ(victim.id(), 0u);
+      xk::Frame& f = victim.current_frame();
+      for (std::size_t i = 0; i < depth; ++i) {
+        xk::spawn([](int* c) { *c = 1; }, xk::write(&cells[i]));
+      }
+      for (xk::Frame::Iterator it(f); it.index() < depth; it.advance()) {
+        out.tasks.push_back(it.get());
+      }
+      auto* rl = new xk::ReadyList(f);  // the frame's reset deletes it
+      f.ready_list.store(rl, std::memory_order_release);
+      for (unsigned i = 1; i <= kThieves; ++i) {
+        victim.request_slot(i).idle = i != busy;
+        victim.request_slot(i).status.store(xk::StealRequest::kPosted);
+      }
+      ASSERT_TRUE(rt.worker(1).try_combine(victim));
+      for (unsigned i = 1; i <= kThieves; ++i) {
+        xk::StealRequest& s = victim.request_slot(i);
+        const int status = s.status.load();
+        if (status == xk::StealRequest::kServed) {
+          ASSERT_NE(s.reply, nullptr) << i;
+          EXPECT_EQ(s.reply_frame, &f) << i;
+          EXPECT_EQ(s.reply->load_state(), xk::TaskState::kStolenClaim) << i;
+          out.replies[i] = s.reply;
+        } else {
+          ASSERT_EQ(status, xk::StealRequest::kFailed) << i;
+        }
+      }
+      out.left = rl->ready_size();
+      // Drop the replies unclaimed, as thieves that lost the claim race:
+      // the owner's drain reclaims them and runs everything.
+      for (unsigned i = 1; i <= kThieves; ++i) {
+        victim.request_slot(i).status.store(xk::StealRequest::kEmpty);
+      }
+      xk::sync();
+    });
+    for (int c : cells) EXPECT_EQ(c, 1);
+  };
+
+  // Plenty: 8 ready tasks, every thief idle. The combiner's own slot takes
+  // the oldest task; the k oldest are dealt once each, and the other
+  // d - k stay in the list.
+  Round plenty;
+  combine_round(8, /*busy=*/0, plenty);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(plenty.replies[1], plenty.tasks[0]);
+  std::vector<xk::Task*> got(plenty.replies.begin() + 1, plenty.replies.end());
+  std::sort(got.begin(), got.end());
+  std::vector<xk::Task*> oldest(plenty.tasks.begin(),
+                                plenty.tasks.begin() + kThieves);
+  std::sort(oldest.begin(), oldest.end());
+  EXPECT_EQ(got, oldest);
+  EXPECT_EQ(plenty.left, 8u - kThieves);
+
+  // Scarce: 2 ready tasks for 3 requests, and thief 2 is not idle. The
+  // idle-first partition serves thieves 1 and 3 in box order — the
+  // combiner the oldest, thief 3 the other — and fails thief 2, which box
+  // order alone would have served ahead of thief 3.
+  Round scarce;
+  combine_round(2, /*busy=*/2, scarce);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(scarce.replies[1], scarce.tasks[0]);
+  EXPECT_EQ(scarce.replies[2], nullptr);
+  EXPECT_EQ(scarce.replies[3], scarce.tasks[1]);
+  EXPECT_EQ(scarce.left, 0u);
 }
 
 TEST(Occupancy, MasterBitTracksRootFrameAndQuiesceArming) {
@@ -1355,7 +1338,7 @@ TEST(Occupancy, MasterBitTracksRootFrameAndQuiesceArming) {
   cfg.nworkers = 2;
   cfg.topo = "1x2";
   xk::Runtime rt(cfg);
-  const xk::StarvationBoard& b = rt.starvation();
+  const xk::OccupancyBoard& b = rt.occupancy();
   EXPECT_FALSE(b.occupied(0));
   EXPECT_EQ(b.root_occupied(), 0);
   EXPECT_FALSE(b.quiesce_armed());
@@ -1388,8 +1371,8 @@ TEST(Occupancy, SectionsReuseCleanlyAcrossRuns) {
       xk::sync();
     });
     ASSERT_EQ(hits.load(), 20) << round;
-    ASSERT_EQ(rt.starvation().root_occupied(), 0) << round;
-    ASSERT_FALSE(rt.starvation().quiesce_armed()) << round;
+    ASSERT_EQ(rt.occupancy().root_occupied(), 0) << round;
+    ASSERT_FALSE(rt.occupancy().quiesce_armed()) << round;
   }
 }
 

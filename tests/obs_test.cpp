@@ -1,6 +1,6 @@
 // Observability subsystem tests: trace rings, the emit API, the Chrome
-// trace-file round trip, metrics snapshots, and the StarvationBoard
-// occupancy fold's snapshot consistency.
+// trace-file round trip, metrics snapshots, and the OccupancyBoard
+// fold's snapshot consistency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -292,17 +292,18 @@ TEST(Metrics, ToJsonShape) {
   m.nworkers = 3;
   m.root_occupied = 1;
   m.counters = {{"tasks_spawned", 42}, {"parks", 7}};
-  m.domains.push_back({0, 5, 2, 1});
+  m.domains.push_back({0, 5});
   const std::string j = m.to_json();
   EXPECT_NE(j.find("\"nworkers\": 3"), std::string::npos);
   EXPECT_NE(j.find("\"tasks_spawned\": 42"), std::string::npos);
   EXPECT_NE(j.find("\"parks\": 7"), std::string::npos);
   EXPECT_NE(j.find("\"domains\""), std::string::npos);
-  EXPECT_NE(j.find("\"ready\": 5"), std::string::npos);
+  EXPECT_NE(j.find("{\"rank\": 0, \"occupied\": 5}"), std::string::npos);
   std::ostringstream os;
   m.dump(os);
   EXPECT_NE(os.str().find("tasks_spawned=42"), std::string::npos);
-  EXPECT_NE(os.str().find("rank=0"), std::string::npos);
+  EXPECT_NE(os.str().find("[xk] domain rank=0 occupied=5\n"),
+            std::string::npos);
 }
 
 TEST(Metrics, OperatorStreamListsEveryCounter) {
@@ -325,11 +326,11 @@ TEST(Metrics, OperatorStreamListsEveryCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// StarvationBoard snapshot consistency
+// OccupancyBoard snapshot consistency
 // ---------------------------------------------------------------------------
 
-TEST(StarvationBoardObs, OccupancyFoldCountsMatchSnapshot) {
-  xk::StarvationBoard b;
+TEST(OccupancyBoardObs, OccupancyFoldCountsMatchSnapshot) {
+  xk::OccupancyBoard b;
   b.init(2);
   b.init_occupancy({0, 0, 1, 1});  // workers 0,1 -> domain 0; 2,3 -> domain 1
 
@@ -352,13 +353,13 @@ TEST(StarvationBoardObs, OccupancyFoldCountsMatchSnapshot) {
   EXPECT_EQ(b.root_occupied(), 0);
 }
 
-TEST(StarvationBoardObs, ConcurrentPublishSettlesConsistent) {
+TEST(OccupancyBoardObs, ConcurrentPublishSettlesConsistent) {
   // One owner thread per bit (the board's write contract); after all the
   // toggling, the folded counts must equal the sum of the final bits —
   // the gauges the metrics snapshot exports can never drift.
   constexpr unsigned kWorkers = 8;
   constexpr int kToggles = 2000;
-  xk::StarvationBoard b;
+  xk::OccupancyBoard b;
   b.init(2);
   std::vector<unsigned> ranks(kWorkers);
   for (unsigned w = 0; w < kWorkers; ++w) ranks[w] = w % 2;
@@ -389,7 +390,7 @@ TEST(StarvationBoardObs, ConcurrentPublishSettlesConsistent) {
   EXPECT_EQ(b.root_occupied(), occupied_domains);
 }
 
-TEST(StarvationBoardObs, GaugesRoundTripThroughRuntimeSnapshot) {
+TEST(OccupancyBoardObs, GaugesRoundTripThroughRuntimeSnapshot) {
   xk::Runtime rt(cfg(4));
   rt.run([&] {
     for (int i = 0; i < 500; ++i) {
@@ -401,8 +402,7 @@ TEST(StarvationBoardObs, GaugesRoundTripThroughRuntimeSnapshot) {
   ASSERT_FALSE(m.domains.empty());
   std::int64_t occupied_domains = 0;
   for (const auto& d : m.domains) {
-    EXPECT_GE(d.ready, 0);       // settled shards between sections
-    EXPECT_EQ(d.occupied, 0);    // quiesced pool: nobody holds a frame
+    EXPECT_EQ(d.occupied, 0);  // quiesced pool: nobody holds a frame
     if (d.occupied != 0) ++occupied_domains;
   }
   EXPECT_EQ(m.root_occupied, occupied_domains);

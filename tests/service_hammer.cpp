@@ -106,7 +106,7 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
 
   // Clients: overlapping begin()/end() sections with fork-join bursts, so
   // the dispatcher's sections and the client masters share the pool, the
-  // StarvationBoard, and the parker wake paths the whole time.
+  // OccupancyBoard, and the parker wake paths the whole time.
   for (int cidx = 0; cidx < kClients; ++cidx) {
     threads.emplace_back([&] {
       for (int round = 0; round < kClientSections; ++round) {
@@ -153,12 +153,12 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   // grace (svc_idle_us) after the last job, so poll for the fold. Once
   // flat, nothing may stay armed and no gauge bleed from the overlap.
   const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (rt.starvation().root_occupied() != 0 &&
+  while (rt.occupancy().root_occupied() != 0 &&
          std::chrono::steady_clock::now() < until) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(rt.starvation().root_occupied(), 0);
-  EXPECT_FALSE(rt.starvation().quiesce_armed());
+  EXPECT_EQ(rt.occupancy().root_occupied(), 0);
+  EXPECT_FALSE(rt.occupancy().quiesce_armed());
 }
 
 // Shutdown drain: destroy the runtime with hundreds of jobs still queued

@@ -247,8 +247,8 @@ TEST(Service, OverlappingClientSections) {
   EXPECT_EQ(sum.load(), 2u * (64u * 63u / 2u));
   EXPECT_FALSE(rt.in_section());
   // Quiescence settled exactly once for the whole overlapping batch.
-  EXPECT_EQ(rt.starvation().root_occupied(), 0);
-  EXPECT_FALSE(rt.starvation().quiesce_armed());
+  EXPECT_EQ(rt.occupancy().root_occupied(), 0);
+  EXPECT_FALSE(rt.occupancy().quiesce_armed());
 }
 
 TEST(Service, SectionSlotExhaustionThrows) {

@@ -276,8 +276,6 @@ TEST(Stress, ReadyListGlobalLockHammer) {
   constexpr int kPoppers = 4;
 
   xk::Frame frame;
-  xk::StarvationBoard board;
-  board.init(kShards);
   std::vector<double> slots(kSlots, 0.0);
   std::vector<xk::Access> accesses;
   accesses.reserve(kTasks);  // stable storage: tasks keep pointers into it
@@ -287,7 +285,7 @@ TEST(Stress, ReadyListGlobalLockHammer) {
   std::atomic<std::uint32_t> terminated{0};
   std::atomic<std::uint64_t> popped{0};
   {
-    xk::ReadyList rl(frame, kShards, &board);
+    xk::ReadyList rl(frame, kShards);
 
     auto publish_one = [&](std::uint32_t i) {
       auto* t = new (frame.arena.allocate(sizeof(xk::Task), alignof(xk::Task)))
@@ -361,17 +359,18 @@ TEST(Stress, ReadyListGlobalLockHammer) {
     for (xk::Task* t : tasks) {
       ASSERT_EQ(t->load_state(), xk::TaskState::kTerm);
     }
-    // The per-shard live-depth gauges mirror the board exactly — they are
-    // updated together under the list's lock, and any drift here
-    // means a settle was lost or double-counted in the storm above.
+    // Drain: every task is Term, so one more pop claims nothing but
+    // discards every entry still queued (ids of tasks the owner grabbed
+    // and terminated silently). Afterwards each shard's live depth must be
+    // exactly 0 — every push settled once, at completion or at pop; any
+    // drift means a settle was lost or double-counted in the storm above.
+    xk::Task* out[8];
+    ASSERT_EQ(rl.pop_ready_claimed_batch(out, 8, 0), 0u);
+    EXPECT_EQ(rl.ready_size(), 0u);
     for (unsigned s = 0; s < kShards; ++s) {
-      ASSERT_EQ(rl.shard_live_depth(s), board.ready_depth(s)) << "shard " << s;
+      ASSERT_EQ(rl.shard_live_depth(s), 0) << "shard " << s;
     }
   }
-  // The list is gone: every live gauge contribution must have been
-  // returned (settled at completion, at pop, or by the destructor).
-  EXPECT_EQ(board.ready_depth(0), 0);
-  EXPECT_EQ(board.ready_depth(1), 0);
 }
 
 // Regression for the lost release behind the hammer hangs above: a task
@@ -509,8 +508,8 @@ void steal_hammer(const char* topo) {
   for (double v : cells) ASSERT_EQ(v, 1.0 * kSteps * kSections);
   // Every section must have closed through the quiescence fire, leaving
   // the board folded flat and nothing armed.
-  EXPECT_EQ(rt.starvation().root_occupied(), 0);
-  EXPECT_FALSE(rt.starvation().quiesce_armed());
+  EXPECT_EQ(rt.occupancy().root_occupied(), 0);
+  EXPECT_FALSE(rt.occupancy().quiesce_armed());
 }
 
 TEST(Stress, AdaptiveStealFlatHammer) { steal_hammer("1x8"); }
