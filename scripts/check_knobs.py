@@ -12,6 +12,11 @@ variable does. This script keeps it in step with the code:
   K2 stale-row      A TUNING.md table row names (in its first cell) an
                     XK_* variable that nothing under src/ reads.
 
+  K3 knob-ceiling   More distinct XK_* variables are read under src/ than
+                    MAX_KNOBS. Each knob is a mode the tests and benches
+                    must cover; a new one has to displace an old one (or
+                    raise the ceiling here, in review).
+
 Reads are found lexically: comments are scrubbed first, so a name that is
 only mentioned in a comment does not count as read, and the argument may
 sit on a continuation line. XKREPRO_* bench-harness variables are out of
@@ -32,6 +37,9 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC_GLOBS = ["src/**/*.cpp", "src/**/*.hpp", "src/**/*.h"]
 TUNING = REPO / "docs" / "TUNING.md"
+
+# Ceiling on the number of distinct XK_* variables read under src/ (K3).
+MAX_KNOBS = 18
 
 READ_RE = re.compile(r'\b(?:env_[a-z_]+|getenv)\s*\(\s*"(XK_[A-Z0-9_]+)"')
 ROW_RE = re.compile(r"^\|\s*`(XK_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
@@ -71,9 +79,13 @@ def rows_in(markdown: str) -> set[str]:
     return set(ROW_RE.findall(markdown))
 
 
-def problems(reads: dict[str, list[str]], rows: set[str]) -> list[str]:
+def problems(reads: dict[str, list[str]], rows: set[str],
+             max_knobs: int = MAX_KNOBS) -> list[str]:
     """`reads` maps each read name to the files that read it."""
     out = []
+    if len(reads) > max_knobs:
+        out.append(f"K3 knob-ceiling: {len(reads)} XK_* variables are read "
+                   f"under src/, above the ceiling of {max_knobs}")
     for name in sorted(set(reads) - rows):
         out.append(f"K1 undocumented: {name} (read in "
                    f"{', '.join(sorted(reads[name]))}) has no row in "
@@ -86,7 +98,10 @@ def problems(reads: dict[str, list[str]], rows: set[str]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Self-test: (source, markdown, rules that must fire). An empty rule list
-# means the case must come out clean.
+# means the case must come out clean. The self-test runs with a ceiling of
+# SELF_TEST_MAX_KNOBS.
+
+SELF_TEST_MAX_KNOBS = 3
 
 CASES = {
     "every read documented": ("""
@@ -129,13 +144,25 @@ cfg.b = env_int("XK_B", cfg.b);
 """, """
 | `XK_A` | 1 | must exceed `XK_B` |
 """, ["K1"]),
+    "more knobs than the ceiling": ("""
+cfg.a = env_int("XK_A", cfg.a);
+cfg.b = env_int("XK_B", cfg.b);
+cfg.c = env_int("XK_C", cfg.c);
+cfg.d = env_int("XK_D", cfg.d);
+""", """
+| `XK_A` | 1 |
+| `XK_B` | 2 |
+| `XK_C` | 3 |
+| `XK_D` | 4 |
+""", ["K3"]),
 }
 
 
 def self_test() -> int:
     failures = 0
     for name, (src, md, want) in CASES.items():
-        got = problems({n: ["<src>"] for n in reads_in(src)}, rows_in(md))
+        got = problems({n: ["<src>"] for n in reads_in(src)}, rows_in(md),
+                       SELF_TEST_MAX_KNOBS)
         rules = sorted({p.split()[0] for p in got})
         if rules != sorted(set(want)):
             failures += 1
@@ -179,8 +206,8 @@ def main() -> int:
     if found:
         print(f"check_knobs: {len(found)} problem(s)", file=sys.stderr)
         return 1
-    print(f"check_knobs: {len(reads)} XK_* variables read under src/, "
-          "each with a docs/TUNING.md row")
+    print(f"check_knobs: {len(reads)} XK_* variables read under src/ "
+          f"(ceiling {MAX_KNOBS}), each with a docs/TUNING.md row")
     return 0
 
 

@@ -1,8 +1,9 @@
 // Per-frame bump allocator for task descriptors, argument blocks and access
 // arrays. Only the frame owner allocates; thieves only read the published
 // objects, so no synchronization is needed beyond the frame's task-count
-// publication. Memory is recycled when the frame is reset (all tasks Term
-// and no scanner active — see Worker's frame-pop protocol).
+// publication. Memory is recycled when the frame is reset at the end of
+// every drain (all tasks Term and no scanner active — see
+// Worker::recycle_frame).
 #pragma once
 
 #include <cstddef>

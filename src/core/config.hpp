@@ -102,23 +102,6 @@ struct Config {
   /// at the door rather than growing an unbounded backlog. 0 = unbounded.
   std::size_t svc_queue_cap = 4096;
 
-  /// Jobs the service dispatcher spawns per scheduling burst before it
-  /// re-consults the tenant scheduler (XK_SVC_BATCH). Small values track
-  /// priority changes tightly; larger ones amortize queue locking.
-  std::size_t svc_batch = 32;
-
-  /// Microseconds the dispatcher keeps its section open waiting for new
-  /// arrivals after the queue runs dry (XK_SVC_IDLE_US). Absorbs bursts
-  /// without paying a section close/reopen per lull; after the grace the
-  /// section closes and the pool parks.
-  std::uint64_t svc_idle_us = 200;
-
-  /// Jobs dispatched into one service section before it is closed and
-  /// reopened (XK_SVC_SECTION_CAP). Spawned task descriptors live in the
-  /// section's root frame arena until the section ends, so an unbounded
-  /// section would grow memory with the job stream; recycling bounds it.
-  std::size_t svc_section_cap = 8192;
-
   /// Per-tenant scheduling weights (XK_SVC_WEIGHTS, comma list "4,2,1"
   /// for tenants 0,1,2). Unlisted tenants weigh 1. The dispatcher picks
   /// tenants by smooth weighted round-robin over non-empty lanes, so a

@@ -290,15 +290,16 @@ void foreach_execute(ForeachShared& sh, std::int64_t first, std::int64_t last,
   arm_splitter(*t, &foreach_splitter);
   w.push_task(t);
   sync();
+  // The sync recycled the frame: `t` reached Term before the drain ended
+  // and its arena block is reused from here on. Nothing below reads it —
+  // only the stack state `root` and `sh`. A combiner reaches `root` (to
+  // call the splitter) only through `t`, inside a scan window on this
+  // worker, and the recycle waited every such window out before the
+  // reset, so no scanner still holds `root` when it leaves scope.
 
   // The root's slice is done; other pieces may still run. Help until the
   // whole interval completed (§II-E completion).
   w.steal_until([&] { return sh.finished(); });
-
-  // An in-flight combiner may still hold pointers into `root` (it read the
-  // task before it terminated); the steal mutex is held for the whole round,
-  // so one lock/unlock flushes it before `root` leaves scope.
-  w.scan_barrier();
 
   std::exception_ptr exc = sh.exc;  // safe: all writers retired
   sh.release();

@@ -31,8 +31,9 @@ void Frame::reset() {
   // early-completion records, which would otherwise alias recycled task
   // addresses).
   // xk-order: owner-only quiesced recycle — the Dekker handshake excluded
-  // every scanner before reset() runs, and the next push_frame publishes
-  // the recycled frame with its own release edge.
+  // every scanner before reset() runs, and the depth republication that
+  // follows (recycle_frame, or the next push_frame) carries the release
+  // edge.
   delete ready_list.load(std::memory_order_relaxed);
   ready_list.store(nullptr, std::memory_order_relaxed);
   head_.next.store(nullptr, std::memory_order_relaxed);  // xk-order: ditto

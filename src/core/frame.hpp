@@ -4,14 +4,14 @@
 // its own workqueue. The workqueue is represented as a stack. The enqueue
 // operation is very fast, typically about ten cycles." Each running task gets
 // a frame; spawned children are appended; when the body returns (or at an
-// explicit sync) the owner executes them in FIFO order.
+// explicit sync) the owner executes them in FIFO order, then recycles it.
 //
 // Concurrency contract:
 //  * Only the owner appends tasks and advances the exec cursor.
 //  * Thieves (the elected combiner, holding the worker's steal mutex) read
 //    `size()` with acquire and then read published descriptors.
 //  * The frame is reset only after every task reached Term and no scanner is
-//    active (Worker::pop_frame implements the Dekker-style handshake).
+//    active (Worker::recycle_frame, run at the end of every drain).
 #pragma once
 
 #include <atomic>
@@ -104,14 +104,13 @@ class Frame {
   /// Incarnation counter: bumped by reset() so combiner-side scan caches
   /// (FrameScanState in worker.hpp) self-invalidate when a frame is
   /// recycled. Read only inside a scanning window, where the Dekker
-  /// handshake in Worker::pop_frame guarantees no concurrent reset; relaxed
-  /// suffices because the handshake already provides the happens-before
-  /// edge. (The per-scan "skip the Term prefix" hint this replaces lived
-  /// here as scan_hint; the persistent per-frame entry cache subsumes it.)
+  /// handshake in Worker::recycle_frame guarantees no concurrent reset;
+  /// relaxed suffices because the handshake already provides the
+  /// happens-before edge.
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// Owner-only: recycles arena + counters. Precondition: all tasks Term and
-  /// no active scanner (enforced by Worker::pop_frame).
+  /// no active scanner (enforced by Worker::recycle_frame).
   void reset();
 
   /// Ready-list accelerating structure (§II-C); attached by a combiner under
@@ -127,8 +126,8 @@ class Frame {
   std::atomic<ReadyList*> ready_list{nullptr};
 
   /// Set by a combiner (inside the scanning window) when it steal-claims a
-  /// task of this frame. The owner's pop_frame then drains in-flight reply
-  /// slots before recycling: with join-side reclaim a claimed task can
+  /// task of this frame. The owner's recycle_frame then drains in-flight
+  /// reply slots before the reset: with join-side reclaim a claimed task can
   /// reach Term before the thief holding its reply ever looks at it, so
   /// the reply may dangle into this frame past the last Term. Ordering is
   /// covered by the Dekker handshake (the flag is written only while the
@@ -143,9 +142,8 @@ class Frame {
   }
 
   // Owner-private FIFO dispatch cursor. Kept as a (chunk, slot) position so
-  // repeated syncs on a long-lived frame (e.g. a QUARK master inserting
-  // across many barriers) dispatch in O(1) instead of re-walking the chunk
-  // list from the head. The hop to the next chunk is deferred until the
+  // each dispatch is O(1) instead of a walk of the chunk list from the
+  // head. The hop to the next chunk is deferred until the
   // next access: at a boundary the successor chunk may not exist yet (it is
   // allocated by the push that needs it).
   std::uint32_t exec_cursor() const { return exec_index_; }

@@ -17,7 +17,7 @@ ReadyList::ReadyList(Frame& frame, unsigned nshards)
 ReadyList::~ReadyList() {
   // No lock: destruction is owner-only, after the Dekker handshake has
   // excluded every scanner and every task reached Term (see
-  // Worker::pop_frame / Frame::reset).
+  // Worker::recycle_frame / Frame::reset).
   if constexpr (check::kEnabled) verify_accounting_quiesced("~ReadyList");
 }
 
@@ -86,13 +86,12 @@ void ReadyList::check_epoch_graph_held() {
 /// incarnation's first extend() must likewise not serve a prior-
 /// incarnation entry, so every entry point checks the epoch.
 ///
-/// Scope note: in-tree this path is defensive — Frame::reset() deletes
-/// the attached list before bumping the epoch, so only a list owned
-/// *outside* the frame (the test-suite idiom, or an embedder holding its
-/// own list) ever observes a recycle. The check makes the list's
-/// lifetime contract self-contained instead of relying on every owner to
-/// destroy it first; its steady-state cost is one epoch compare per
-/// public entry point.
+/// Scope note: in-tree this path is defensive — a frame recycles at every
+/// drain, but Frame::reset() deletes the attached list first, so only a
+/// list owned *outside* the frame (the test-suite idiom, or an embedder
+/// holding its own list) ever observes a recycle. The check makes the
+/// list's lifetime contract self-contained; its steady-state cost is one
+/// epoch compare per public entry point.
 void ReadyList::reset_coverage_graph_held() {
   if constexpr (check::kEnabled) verify_accounting_quiesced("reset_coverage");
   for (Node& n : nodes_) settle_queued(&n);
@@ -110,7 +109,7 @@ void ReadyList::reset_coverage_graph_held() {
 
 void ReadyList::extend(unsigned shard) {
   // Cap the per-round coverage growth: extend() runs inside the victim's
-  // scanning window, and the frame owner's pop_frame waits that window out —
+  // scanning window, and the frame owner's recycle waits that window out —
   // covering a 100k-task frame in one go would stall the owner for the whole
   // build. Remaining tasks are covered by subsequent combiner rounds.
   constexpr std::uint32_t kMaxPerRound = 2048;

@@ -60,19 +60,6 @@ Config Config::from_env() {
   // far past any plausible overlap while rejecting cast wrap-arounds.
   cfg.sections = env_unsigned("XK_SECTIONS", cfg.sections, 4096);
   cfg.svc_queue_cap = env_size("XK_SVC_QUEUE_CAP", cfg.svc_queue_cap);
-  cfg.svc_batch = env_size("XK_SVC_BATCH", cfg.svc_batch);
-  {
-    const std::int64_t idle = env_int(
-        "XK_SVC_IDLE_US", static_cast<std::int64_t>(cfg.svc_idle_us));
-    if (idle < 0) {
-      std::fprintf(stderr,
-                   "xk: ignoring out-of-range XK_SVC_IDLE_US=%lld\n",
-                   static_cast<long long>(idle));
-    } else {
-      cfg.svc_idle_us = static_cast<std::uint64_t>(idle);
-    }
-  }
-  cfg.svc_section_cap = env_size("XK_SVC_SECTION_CAP", cfg.svc_section_cap);
   cfg.svc_weights = env_string("XK_SVC_WEIGHTS").value_or(cfg.svc_weights);
   return cfg;
 }

@@ -18,6 +18,14 @@ namespace detail {
 
 namespace {
 
+/// Dispatcher pacing: jobs spawned per burst before the tenant scheduler
+/// is consulted again, jobs between two syncs of a stream that never runs
+/// dry (each sync recycles the section's root frame, bounding its arena),
+/// and how long a drained section stays open for the next arrival.
+constexpr std::size_t kBatch = 32;
+constexpr std::size_t kSyncEvery = 8192;
+constexpr std::chrono::microseconds kIdleGrace{200};
+
 /// Executes one job on whichever worker claimed its task. The CAS out of
 /// kQueued races only the token's cancel(); exactly one wins. Every
 /// exception is captured into the job state — a job body must never leak
@@ -150,10 +158,6 @@ void ServiceState::dispatcher_main() {
 }
 
 void ServiceState::run_open_section() {
-  const Config& cfg = rt.config();
-  const std::size_t batch = std::max<std::size_t>(cfg.svc_batch, 1);
-  const std::size_t section_cap = std::max<std::size_t>(
-      cfg.svc_section_cap, batch);
   // With a lone pool worker there is no thief to execute spawned jobs
   // while the dispatcher keeps feeding; sync after every burst instead.
   const bool solo = rt.nworkers() < 2;
@@ -168,32 +172,34 @@ void ServiceState::run_open_section() {
     return;
   }
   sections.fetch_add(1, std::memory_order_relaxed);
-  std::size_t dispatched = 0;
+  std::size_t since_sync = 0;
   for (;;) {
     std::size_t burst = 0;
-    while (burst < batch && dispatched < section_cap) {
+    while (burst < kBatch) {
       auto job = queue.pop();
       if (!job) break;
       spawn_job(std::move(job));
       ++burst;
-      ++dispatched;
     }
-    if (dispatched >= section_cap) break;  // recycle the section's arena
+    since_sync += burst;
     if (burst != 0) {
-      if (solo) xk::sync();
+      if (solo || since_sync >= kSyncEvery) {
+        xk::sync();
+        since_sync = 0;
+      }
       continue;
     }
     // Queue dry: finish what's in flight (helping the pool), then hold
     // the section open for an idle grace so a burst in progress doesn't
     // pay a close/reopen per lull.
     xk::sync();
+    since_sync = 0;
     if (queue.depth() != 0) continue;
     if (stop.load(std::memory_order_acquire)) break;
     const std::uint32_t e = submit_parker.prepare();
     submit_parker.announce();
     if (queue.depth() == 0 && !stop.load(std::memory_order_acquire)) {
-      submit_parker.park(e, std::chrono::microseconds(std::max<std::uint64_t>(
-                                cfg.svc_idle_us, 1)));
+      submit_parker.park(e, kIdleGrace);
     }
     submit_parker.retract();
     if (queue.depth() == 0) break;  // grace expired: close and long-park

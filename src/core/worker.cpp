@@ -78,7 +78,7 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
 Worker::~Worker() = default;
 
 // ---------------------------------------------------------------------------
-// Frame stack: owner push / Dekker-protected pop (see worker.hpp).
+// Frame stack: owner push / Dekker-protected recycle (see worker.hpp).
 // ---------------------------------------------------------------------------
 
 void Worker::frame_overflow() {
@@ -93,11 +93,11 @@ void Worker::publish_occupancy(bool occupied) {
   if (folds != 0) obs::emit(obs::Ev::kQuiesceFold, folds, occupied ? 1 : 0);
 }
 
-void Worker::pop_frame_dekker(Frame& f, std::uint32_t d) {
+void Worker::recycle_frame(Frame& f, std::uint32_t d) {
   // seq_cst on both sides of the Dekker handshake (store-buffering litmus):
   // a combiner sets scanning_ (seq_cst) before reading depth_ (seq_cst).
-  // Either it sees the decremented depth and never touches this frame, or
-  // we see scanning_ true here and wait the scan out before recycling the
+  // Either it sees the lowered depth and never touches this frame, or we
+  // see scanning_ true here and wait the scan out before recycling the
   // frame's memory. Neither store may be demoted: with plain release the
   // combiner's depth load and our scanning_ load could both read the old
   // values and the frame would be reset under a live scan.
@@ -119,7 +119,9 @@ void Worker::pop_frame_dekker(Frame& f, std::uint32_t d) {
     }
   }
   f.reset();
-  if (d == 1) publish_occupancy(false);
+  // Republish the frame. Release, as in push_frame: a combiner that reads
+  // depth d acquires the reset (new epoch, empty chunk list, no list).
+  depth_.store(d, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,6 +295,9 @@ void Worker::drain_current_frame() {
       t->exception = nullptr;
     }
   }
+  // Every task reached Term: recycle in place, so a section that loops
+  // spawn+sync (a time loop, the service dispatcher) reuses one arena.
+  if (!f.pristine()) recycle_frame(f, depth_.load(std::memory_order_relaxed));
   if (first_exc) std::rethrow_exception(first_exc);
 }
 
@@ -488,7 +493,7 @@ bool Worker::try_steal_once() {
     const int s = slot.status.load(std::memory_order_acquire);
     if (s == StealRequest::kServed) {
       // Start-claim the reply (StolenClaim -> RunThief) *while the slot is
-      // still Served*: the victim's pop_frame treats a Served slot as a
+      // still Served*: the victim's frame recycle treats a Served slot as a
       // live reference into its frames, and a task we won cannot reach
       // Term without us, pinning its frame past this point. A task whose
       // CAS fails was reclaimed by the frame owner (wait_and_finalize) —
@@ -502,7 +507,7 @@ bool Worker::try_steal_once() {
           t->state.compare_exchange_strong(expected, TaskState::kRunThief,
                                            std::memory_order_acq_rel,
                                            std::memory_order_acquire);
-      // Release: the victim's pop_frame acquires this store when draining
+      // Release: the victim's recycle_frame acquires this store when draining
       // in-flight replies before a frame reset (stale-reply protection).
       slot.status.store(StealRequest::kEmpty, std::memory_order_release);
       stats_->steals_ok++;

@@ -9,8 +9,8 @@
 //  * per-task: a single CAS on Task::state arbitrates the victim's FIFO claim
 //    against a combiner's steal claim (T.H.E-style: common case uncontended);
 //  * per-frame: a Dekker handshake (depth store + scanning flag, both seq_cst)
-//    lets the owner recycle a popped frame only when no combiner can still be
-//    reading it.
+//    lets the owner recycle a drained frame only when no combiner can still
+//    be reading it.
 #pragma once
 
 #include <atomic>
@@ -166,7 +166,8 @@ class Worker {
 
   /// FIFO-executes the current frame from its cursor until all its tasks
   /// reached Term (the implicit sync at body end; also the body of
-  /// xk::sync()). Rethrows the first child exception after the drain.
+  /// xk::sync() and Runtime::end), then recycles it unless it is pristine.
+  /// Rethrows the first child exception after the recycle.
   void drain_current_frame();
 
   /// Enters the idle loop until `done` becomes true: posts steal requests
@@ -254,11 +255,6 @@ class Worker {
     return depth_.load(std::memory_order_relaxed);
   }
 
-  /// Waits out any combiner currently traversing this worker's stack (it
-  /// holds the steal mutex for the whole round, splitter calls included).
-  /// Used before freeing state that an in-flight splitter may reference.
-  void scan_barrier() { std::lock_guard<std::mutex> lock(steal_mutex_); }
-
   // ---- victim-side state read by thieves --------------------------------
 
   std::uint32_t depth_acquire() const {
@@ -274,8 +270,8 @@ class Worker {
   /// publishing a *larger* depth needs no Dekker round — a combiner that
   /// misses the new frame simply does not scan it, and one that sees it
   /// acquires the owner's prior writes (including the frame's last reset)
-  /// through this store. Only the shrinking store in pop_frame arbitrates
-  /// against scanners.
+  /// through this store. Only the shrinking store in recycle_frame
+  /// arbitrates against scanners.
   Frame& push_frame() {
     const std::uint32_t d = depth_.load(std::memory_order_relaxed);
     if (d >= kMaxDepth) [[unlikely]] frame_overflow();
@@ -284,23 +280,19 @@ class Worker {
     return frames_[d];
   }
 
-  /// Pops the current frame. Inline fast path for pristine frames (never
-  /// pushed to in this incarnation — every leaf task's frame): a combiner
-  /// that races with this pop can only read the frame's atomics (size 0
-  /// both before and after, epoch, null ready_list) — it never dereferences
+  /// Pops the current frame, which the drain left pristine (a drain cut
+  /// short by a runtime throw is recycled here, cold): a combiner that
+  /// races with this pop can only read the frame's atomics (size 0 both
+  /// before and after, epoch, null ready_list) — it never dereferences
   /// chunk or arena memory, because no task was ever published. So the
   /// store-buffering round the seq_cst Dekker pair exists for has nothing
   /// to protect: the shrink is a plain release (ordering the pop before
   /// this stack slot's next push_frame publication) and only the arena
-  /// needs rewinding (see Frame::pristine). A scanner's cached entry list
-  /// for this frame is necessarily empty, so nothing stale survives.
+  /// needs rewinding (see Frame::pristine).
   void pop_frame() {
     const std::uint32_t d = depth_.load(std::memory_order_relaxed);
     Frame& f = frames_[d - 1];
-    if (!f.pristine()) [[unlikely]] {
-      pop_frame_dekker(f, d);
-      return;
-    }
+    if (!f.pristine()) [[unlikely]] recycle_frame(f, d);
     assert(f.ready_list.load(std::memory_order_relaxed) == nullptr);
     assert(!f.steal_claimed());
     depth_.store(d - 1, std::memory_order_release);
@@ -320,9 +312,11 @@ class Worker {
   /// the quiescence edge that fires the section-end wake (Runtime::end).
   void publish_occupancy(bool occupied);
 
-  /// Non-pristine pop: the seq_cst Dekker round against scanners, the
-  /// in-flight reply drain, then the full Frame::reset.
-  void pop_frame_dekker(Frame& f, std::uint32_t d);
+  /// Recycles the current frame `f` (depth `d`) in place: the seq_cst
+  /// Dekker round against scanners, the in-flight reply drain, the full
+  /// Frame::reset, then depth `d` again. The occupancy bit is untouched,
+  /// so the quiescence fold still fires only at the section's root pop.
+  void recycle_frame(Frame& f, std::uint32_t d);
 
   /// The owner's share of a join on `t` in its current frame `f`: while
   /// `f` has a ready list with ready work, pop one task from it (under this

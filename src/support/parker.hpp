@@ -65,7 +65,17 @@ class Parker {
 
   /// Registers the caller as a prospective sleeper. seq_cst so a publisher
   /// whose has_waiters() load is ordered after this increment must see it.
-  void announce() { waiters_.fetch_add(1, std::memory_order_seq_cst); }
+  /// Also re-arms notify_one: a notify that landed after this waiter's
+  /// last park() returned set wake_pending_ with no sleeper to consume it
+  /// (the next prepare() reads its seq bump), and that stale flag would
+  /// drop the next wake meant for this sleep.
+  void announce() {
+    // xk-order: published by the seq_cst increment below (a release RMW);
+    // a publisher's seq_cst has_waiters() load that reads it orders its
+    // wake_pending_ probe after this clear.
+    wake_pending_.store(false, std::memory_order_relaxed);
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+  }
   void retract() { waiters_.fetch_sub(1, std::memory_order_relaxed); }
 
   /// Publisher-side probe: only pay for a wake when someone may be asleep.
@@ -79,8 +89,12 @@ class Parker {
   }
 
   /// Blocks until seq advances past `epoch` or `timeout` expires. Returns
-  /// true when notified (seq moved), false on timeout. Returns immediately
-  /// when a notification already happened after prepare().
+  /// true when seq moved (a notify landed after prepare()), false
+  /// otherwise: on timeout, but also on a spurious or stale futex wake — a
+  /// notify_one preempted between its seq bump and its FUTEX_WAKE can
+  /// wake the *next* sleep with seq unchanged. Callers re-validate their
+  /// condition either way. Returns immediately when a notification
+  /// already happened after prepare().
   bool park(std::uint32_t epoch, std::chrono::nanoseconds timeout) {
     bool notified;
 #if defined(__linux__)
@@ -111,9 +125,10 @@ class Parker {
   }
 
   /// Wakes one parked worker (new stealable work: any worker can take it).
-  /// Rate-limited: while a previously woken worker has not returned from
-  /// park() yet, further notifies are dropped — a publisher spawning many
-  /// tasks while peers sleep pays a relaxed flag probe, not a wake, each.
+  /// Rate-limited: until a previously woken worker returns from park() or
+  /// announces again, further notifies are dropped — a publisher spawning
+  /// many tasks while peers sleep pays a relaxed flag probe, not a wake,
+  /// each.
   /// The waiter-side timeout covers any work a dropped notify leaves behind
   /// (and a woken worker keeps stealing until it runs dry anyway).
   void notify_one() {

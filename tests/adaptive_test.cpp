@@ -75,7 +75,6 @@ TEST(Adaptive, CustomSplitterCompletesAllWork) {
     self->steal_until([&] {
       return w.done.load() == w.end && w.outstanding.load() == 0;
     });
-    self->scan_barrier();
   });
   EXPECT_EQ(w.done.load(), w.end);
   // The runtime must never run two splitters of one task concurrently.

@@ -176,6 +176,37 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return z * 0xbf58476d1ce4e5b9ULL;
 }
 
+struct DagStep {
+  int in1, in2, out;
+};
+
+/// `n` random steps over `nvars` variables (fixed seed).
+std::vector<DagStep> dag_steps(int n, int nvars) {
+  xk::Rng rng(2024);
+  std::vector<DagStep> steps;
+  steps.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    DagStep s{};
+    s.in1 = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(nvars)));
+    s.in2 = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(nvars)));
+    s.out = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(nvars)));
+    steps.push_back(s);
+  }
+  return steps;
+}
+
+/// Sequential reference: vars start at 1..nvars, each step overwrites out.
+std::vector<std::uint64_t> dag_sequential(const std::vector<DagStep>& steps,
+                                          int nvars) {
+  std::vector<std::uint64_t> v(static_cast<std::size_t>(nvars));
+  std::iota(v.begin(), v.end(), 1);
+  for (const DagStep& s : steps) {
+    v[static_cast<std::size_t>(s.out)] = mix(v[static_cast<std::size_t>(s.in1)],
+                                             v[static_cast<std::size_t>(s.in2)]);
+  }
+  return v;
+}
+
 TEST_P(RandomDagTest, MatchesSequentialExecution) {
   const DagParams p = GetParam();
   xk::Config c = cfg(p.workers);
@@ -183,30 +214,7 @@ TEST_P(RandomDagTest, MatchesSequentialExecution) {
   c.ready_list_threshold = p.readylist_threshold;
 
   constexpr int kVars = 12;
-  constexpr int kTasks = 300;
-  xk::Rng rng(2024);
-
-  struct Step {
-    int in1, in2, out;
-  };
-  std::vector<Step> steps;
-  steps.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    Step s{};
-    s.in1 = static_cast<int>(rng.next_below(kVars));
-    s.in2 = static_cast<int>(rng.next_below(kVars));
-    s.out = static_cast<int>(rng.next_below(kVars));
-    steps.push_back(s);
-  }
-
-  // Sequential reference.
-  std::vector<std::uint64_t> ref(kVars);
-  std::iota(ref.begin(), ref.end(), 1);
-  for (const Step& s : steps) {
-    ref[static_cast<std::size_t>(s.out)] =
-        mix(ref[static_cast<std::size_t>(s.in1)],
-            ref[static_cast<std::size_t>(s.in2)]);
-  }
+  const std::vector<DagStep> steps = dag_steps(300, kVars);
 
   // Parallel dataflow execution.
   std::vector<std::uint64_t> vars(kVars);
@@ -214,7 +222,7 @@ TEST_P(RandomDagTest, MatchesSequentialExecution) {
   {
     xk::Runtime rt(c);
     rt.run([&] {
-      for (const Step& s : steps) {
+      for (const DagStep& s : steps) {
         // NOTE: out may alias in1/in2; declare out as rw to keep the body
         // read of inputs ordered even when renaming is on (renaming applies
         // to kWrite only).
@@ -231,7 +239,7 @@ TEST_P(RandomDagTest, MatchesSequentialExecution) {
       xk::sync();
     });
   }
-  EXPECT_EQ(vars, ref);
+  EXPECT_EQ(vars, dag_sequential(steps, kVars));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -243,6 +251,75 @@ INSTANTIATE_TEST_SUITE_P(
                       // the default attach threshold
                       DagParams{1, 0, 16}, DagParams{2, 0, 16},
                       DagParams{4, 0, 16}, DagParams{8, 0, 16}));
+
+// Program order across many spawn+sync rounds in one section. Every sync
+// recycles the section's root frame, so each round runs in a fresh frame
+// incarnation: a ready list attached in one round is deleted at its sync
+// and must re-attach in the next, and renamed writes must commit before
+// the reset. A step whose output aliases neither input declares a plain
+// write, which renaming may redirect.
+class RandomDagRoundsTest : public ::testing::TestWithParam<DagParams> {};
+
+TEST_P(RandomDagRoundsTest, ManyRoundsMatchSequentialExecution) {
+  const DagParams p = GetParam();
+  xk::Config c = cfg(p.workers);
+  c.renaming = p.renaming != 0;
+  c.ready_list_threshold = p.readylist_threshold;
+
+  constexpr int kVars = 16;
+  constexpr int kRounds = 100;
+  constexpr int kPerRound = 32;
+  const std::vector<DagStep> steps = dag_steps(kRounds * kPerRound, kVars);
+
+  std::vector<std::uint64_t> vars(kVars);
+  std::iota(vars.begin(), vars.end(), 1);
+  auto var = [&](int i) { return &vars[static_cast<std::size_t>(i)]; };
+  auto body = [](const std::uint64_t* a, const std::uint64_t* b,
+                 std::uint64_t* o) {
+    spin(20000);
+    *o = mix(*a, *b);
+  };
+  xk::Runtime rt(c);
+  rt.reset_stats();
+  rt.run([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      for (int k = 0; k < kPerRound; ++k) {
+        const DagStep& s = steps[static_cast<std::size_t>(r * kPerRound + k)];
+        if (s.out == s.in1 || s.out == s.in2) {
+          xk::spawn(body, xk::read(var(s.in1)), xk::read(var(s.in2)),
+                    xk::rw(var(s.out)));
+        } else {
+          xk::spawn(body, xk::read(var(s.in1)), xk::read(var(s.in2)),
+                    xk::write(var(s.out)));
+        }
+      }
+      xk::sync();
+      ASSERT_EQ(xk::this_worker()->current_frame().size_relaxed(), 0u)
+          << "round " << r;
+    }
+  });
+  EXPECT_EQ(vars, dag_sequential(steps, kVars));
+  SUCCEED() << "readylist attaches=" << rt.stats_snapshot().readylist_attach;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RandomDagRoundsTest,
+    ::testing::Values(DagParams{1, 0, 0}, DagParams{1, 0, 1},
+                      DagParams{1, 0, 16}, DagParams{1, 1, 0},
+                      DagParams{1, 1, 1}, DagParams{1, 1, 16},
+                      DagParams{4, 0, 0}, DagParams{4, 0, 1},
+                      DagParams{4, 0, 16}, DagParams{4, 1, 0},
+                      DagParams{4, 1, 1}, DagParams{4, 1, 16}),
+    [](const ::testing::TestParamInfo<DagParams>& param_info) {
+      const DagParams& q = param_info.param;
+      std::string name = "w";
+      name += std::to_string(q.workers);
+      name += "_rn";
+      name += std::to_string(q.renaming);
+      name += "_rl";
+      name += std::to_string(q.readylist_threshold);
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Renaming: WAW chains over the same variable must still produce the last

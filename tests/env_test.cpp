@@ -133,11 +133,6 @@ TEST(ConfigFromEnv, NegativeNcpuFallsBack) {
   EXPECT_EQ(xk::Config::from_env().nworkers, kDefaults.nworkers);
 }
 
-TEST(ConfigFromEnv, NegativeIdleUsFallsBack) {
-  ScopedEnv e("XK_SVC_IDLE_US", "-200");
-  EXPECT_EQ(xk::Config::from_env().svc_idle_us, kDefaults.svc_idle_us);
-}
-
 TEST(ConfigFromEnv, NegativeTraceCapFallsBack) {
   ScopedEnv e("XK_TRACE_CAP", "-1");
   EXPECT_EQ(xk::Config::from_env().trace_cap, kDefaults.trace_cap);

@@ -149,8 +149,8 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   EXPECT_EQ(client_work.load(),
             static_cast<std::int64_t>(kClients) * kClientSections *
                 kSpawnsPerSection);
-  // All sections close: the dispatcher holds its own open for an idle
-  // grace (svc_idle_us) after the last job, so poll for the fold. Once
+  // All sections close: the dispatcher holds its own open for a 200 us
+  // idle grace after the last job, so poll for the fold. Once
   // flat, nothing may stay armed and no gauge bleed from the overlap.
   const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (rt.occupancy().root_occupied() != 0 &&

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -254,6 +255,82 @@ TEST(Stress, LongDataflowPipelines) {
     expect = expect * 6364136223846793005ULL + 1;
   }
   for (auto v : lanes) ASSERT_EQ(v, expect);
+}
+
+TEST(Stress, LongSectionRecyclesRootFrame) {
+  // One section looping spawn+sync, the shape of a simulation time loop.
+  // Every sync must recycle the root frame: no task record, no ready list
+  // and no arena block may carry over into the next step, so memory stays
+  // bounded whatever the step count. Every kGateEvery-th step opens with a
+  // gate task that holds the step's chains back until the thieves, finding
+  // nothing ready, attach a ready list to the root frame — so the recycle
+  // is also exercised on a frame whose list has to be deleted, and the
+  // next gated step must attach a fresh one.
+  constexpr int kSteps = 20000;
+  constexpr int kGateEvery = 8;
+  constexpr int kCells = 8;
+  constexpr int kPerStep = 32;
+  // One step needs ~5 KiB of records; two 16 KiB arena blocks are room to
+  // spare, and a frame that kept its records would pass this by step 10.
+  constexpr std::size_t kArenaBound = 64 * 1024;
+
+  auto next = [](std::uint64_t self, std::uint64_t other, int k) {
+    return (self ^ (other >> 7)) * 6364136223846793005ULL +
+           static_cast<std::uint64_t>(k);
+  };
+  std::array<std::uint64_t, kCells> expect{};
+  std::iota(expect.begin(), expect.end(), 1);
+  for (int step = 0; step < kSteps; ++step) {
+    for (int k = 0; k < kPerStep; ++k) {
+      const int c = k % kCells;
+      expect[static_cast<std::size_t>(c)] =
+          next(expect[static_cast<std::size_t>(c)],
+               expect[static_cast<std::size_t>((c + 3) % kCells)], k);
+    }
+  }
+
+  std::array<std::uint64_t, kCells> cells{};
+  std::iota(cells.begin(), cells.end(), 1);
+  int gated = 0, attached = 0;
+  xk::Runtime rt(cfg(4));
+  rt.run([&] {
+    xk::Frame& root = xk::this_worker()->current_frame();
+    for (int step = 0; step < kSteps; ++step) {
+      if (step % kGateEvery == 0) {
+        ++gated;
+        xk::spawn(
+            [&root, &attached](std::uint64_t*) {
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(10);
+              while (root.ready_list.load(std::memory_order_acquire) ==
+                         nullptr &&
+                     std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+              }
+              if (root.ready_list.load(std::memory_order_acquire) != nullptr) {
+                ++attached;  // the step's sync orders this before the read
+              }
+            },
+            xk::rw(cells.data(), kCells));
+      }
+      for (int k = 0; k < kPerStep; ++k) {
+        const int c = k % kCells;
+        xk::spawn(
+            [next, k](std::uint64_t* self, const std::uint64_t* other) {
+              *self = next(*self, *other, k);
+            },
+            xk::rw(&cells[static_cast<std::size_t>(c)]),
+            xk::read(&cells[static_cast<std::size_t>((c + 3) % kCells)]));
+      }
+      xk::sync();
+      ASSERT_EQ(root.size_relaxed(), 0u) << "step " << step;
+      ASSERT_EQ(root.ready_list.load(std::memory_order_relaxed), nullptr)
+          << "step " << step;
+      ASSERT_LE(root.arena.bytes_allocated(), kArenaBound) << "step " << step;
+    }
+  });
+  EXPECT_EQ(cells, expect);
+  EXPECT_EQ(attached, gated);
 }
 
 // ---------------------------------------------------------------------------
