@@ -91,7 +91,7 @@ struct Config {
   /// beyond the first are extra Worker instances placed alongside the
   /// pool (ids >= nworkers), stealable like any other victim but never
   /// backed by a pool thread. begin() throws when every slot is busy.
-  /// Clamped to >= 1. The service dispatcher claims one of these, so a
+  /// Clamped to >= 1. The service thread claims one of these, so a
   /// client mixing Runtime::submit with its own run()/begin() sections
   /// needs at least 2 (the default).
   unsigned sections = 2;
@@ -103,7 +103,7 @@ struct Config {
   std::size_t svc_queue_cap = 4096;
 
   /// Per-tenant scheduling weights (XK_SVC_WEIGHTS, comma list "4,2,1"
-  /// for tenants 0,1,2). Unlisted tenants weigh 1. The dispatcher picks
+  /// for tenants 0,1,2). Unlisted tenants weigh 1. Every pop picks
   /// tenants by smooth weighted round-robin over non-empty lanes, so a
   /// weight-4 tenant gets 4 of every 5 picks against a weight-1 tenant
   /// while the weight-1 lane still drains (no starvation).

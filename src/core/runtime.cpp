@@ -64,7 +64,7 @@ Config Config::from_env() {
   return cfg;
 }
 
-Runtime::Runtime(Config cfg) : cfg_(cfg) {
+Runtime::Runtime(Config cfg) : cfg_(cfg), service_(*this) {
   const unsigned nw = cfg_.workers();
   nw_ = nw;
   // Master slots back overlapping sections: worker 0 (the traditional
@@ -165,17 +165,17 @@ Runtime::Runtime(Config cfg) : cfg_(cfg) {
 }
 
 Runtime::~Runtime() {
-  // The service dispatcher goes first: its destructor runs every job
-  // still queued and closes its sections, all of which needs the pool.
-  service_live_.store(nullptr, std::memory_order_release);
-  service_.reset();
   // A section left open by the destroying thread itself (begin without
-  // end) is closed on its behalf; sections owned by *other* threads
-  // cannot be drained from here and are a caller bug.
+  // end) is closed on its behalf, first: it may hold the master slot the
+  // service thread needs. Sections owned by *other* threads cannot be
+  // drained from here and are a caller bug.
   if (Worker* w = this_worker();
       w != nullptr && &w->runtime() == this && in_section()) {
     end_silent();
   }
+  // Then the service thread: it keeps its section open until every job
+  // still queued has run, which needs the pool.
+  service_.shutdown();
   {
     std::lock_guard lock(park_mutex_);
     shutdown_ = true;

@@ -121,12 +121,13 @@ class Runtime {
 
   // ---- service mode (async job submission; see core/service.hpp) --------
 
-  /// Submits a job from any thread (worker or not). The job body runs on
-  /// the pool inside a dispatcher-owned section; the returned token
+  /// Submits a job from any thread (worker or not). The job waits in its
+  /// tenant lane until an idle worker pulls it; the returned token
   /// supports completion waiting, cooperative + pre-execution
   /// cancellation, and error retrieval. A submit to a full tenant lane
   /// (Config::svc_queue_cap) returns an already-terminal kRejected token.
-  /// The first submit lazily starts the service dispatcher thread.
+  /// The first submit lazily starts the service thread, which holds a
+  /// section open while jobs flow.
   JobToken submit(std::function<void()> fn, SubmitOptions opts = {});
 
   /// Cancellation-aware variant: the body receives a JobContext to poll
@@ -213,9 +214,6 @@ class Runtime {
   void worker_main(unsigned index);
   void end_silent();  // end() that never throws (exception cleanup path)
 
-  /// Lazily constructs the service dispatcher (first submit).
-  detail::ServiceState& service();
-
   /// End-of-section observability: records the section span, drains every
   /// worker's trace ring into the global Chrome writer (after quiescing
   /// the pool — the same mutex edge stats_snapshot rides, so no ring is
@@ -259,11 +257,10 @@ class Runtime {
   std::uint64_t check_batches_ = 0;  ///< first-opens observed
   std::uint64_t check_drains_ = 0;   ///< last-close drains observed
 
-  // Service mode (lazily created by the first submit; destroyed first in
-  // ~Runtime so the dispatcher's sections close before pool shutdown).
-  std::mutex service_mu_;
-  std::atomic<detail::ServiceState*> service_live_{nullptr};
-  std::unique_ptr<detail::ServiceState> service_;
+  // Service mode: the tenant lanes every worker polls in its idle loop and
+  // the service thread. Destroyed after the pool joined, so no worker can
+  // poll freed lanes; declared after cfg_, which its constructor reads.
+  detail::ServiceState service_;
 
   // Between-sections park/wake machinery (pool idle between begin/end
   // pairs). In-section idle parking goes through the Parkers instead.

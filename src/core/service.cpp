@@ -1,6 +1,7 @@
-// Service-mode implementation: the dispatcher thread and the job wrapper
-// (see service.hpp for the state machine and runtime.hpp for how master
-// slots make the dispatcher's sections overlap client begin()/end() pairs).
+// Service-mode implementation: the job runner idle workers call, and the
+// service thread that holds a section open while jobs flow (see
+// service.hpp for the state machine and runtime.hpp for how master slots
+// make its sections overlap client begin()/end() pairs).
 #include "core/service.hpp"
 
 #include <chrono>
@@ -10,7 +11,6 @@
 #include <utility>
 
 #include "core/runtime.hpp"
-#include "core/spawn.hpp"
 #include "obs/trace.hpp"
 
 namespace xk {
@@ -18,20 +18,17 @@ namespace detail {
 
 namespace {
 
-/// Dispatcher pacing: jobs spawned per burst before the tenant scheduler
-/// is consulted again, jobs between two syncs of a stream that never runs
-/// dry (each sync recycles the section's root frame, bounding its arena),
-/// and how long a drained section stays open for the next arrival.
-constexpr std::size_t kBatch = 32;
-constexpr std::size_t kSyncEvery = 8192;
+/// How long the service thread keeps its section open after the lanes ran
+/// dry, so a burst in progress doesn't pay a close/reopen per lull.
 constexpr std::chrono::microseconds kIdleGrace{200};
 
-/// Executes one job on whichever worker claimed its task. The CAS out of
-/// kQueued races only the token's cancel(); exactly one wins. Every
-/// exception is captured into the job state — a job body must never leak
-/// into Task::exception, where it would surface at the *dispatcher's*
-/// section end instead of the submitter's token.
-void run_job(JobState& st, ServiceState& svc) {
+/// Executes one popped job on `w` in a fresh frame. The CAS out of kQueued
+/// races only the token's cancel(); exactly one wins. A job is its body
+/// plus its children: the frame is drained before the settle, and the
+/// first exception of the body or of a child fails the job. Nothing leaks
+/// into the enclosing frame, where it would surface in some section
+/// instead of at the submitter's token.
+void run_job(JobState& st, ServiceState& svc, Worker& w) {
   std::uint8_t expected = static_cast<std::uint8_t>(JobStatus::kQueued);
   if (!st.status.compare_exchange_strong(
           expected, static_cast<std::uint8_t>(JobStatus::kRunning),
@@ -39,30 +36,43 @@ void run_job(JobState& st, ServiceState& svc) {
     // cancel() won while the job sat queued; the token already turned
     // terminal and woke its waiters. Settle the accounting here, on the
     // executor side, so the counter writer always outlives the write.
-    if (Worker* w = this_worker()) w->stats().svc_jobs_skipped++;
+    w.stats().svc_jobs_skipped++;
     svc.cancelled.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   const std::uint64_t t0 = obs::span_begin();
   JobContext ctx(&st);
+  std::exception_ptr exc;
+  // Move the body out so its captures die with the job (after the
+  // children, which may reference them), not at the shared_ptr's last
+  // release (a waiter may hold the token long after).
+  auto fn = std::move(st.fn);
+  st.fn = nullptr;
+  w.push_frame();
   try {
-    // Move the body out so captured resources die at job completion, not
-    // at the shared_ptr's last release (a waiter may hold the token long
-    // after).
-    auto fn = std::move(st.fn);
-    st.fn = nullptr;
     fn(ctx);
-    // Counters before finish(): a waiter woken by the terminal store must
-    // already see this job in service_stats() (the release store orders
-    // the increment ahead of the status flip).
-    svc.completed.fetch_add(1, std::memory_order_relaxed);
-    st.finish(JobStatus::kDone);
   } catch (...) {
-    st.exc = std::current_exception();
+    exc = std::current_exception();
+  }
+  try {
+    w.drain_current_frame();
+  } catch (...) {
+    if (!exc) exc = std::current_exception();
+  }
+  w.pop_frame();
+  fn = nullptr;
+  // Counters before finish(): a waiter woken by the terminal store must
+  // already see this job in service_stats() (the release store orders
+  // the increment ahead of the status flip).
+  if (exc) {
+    st.exc = exc;
     svc.failed.fetch_add(1, std::memory_order_relaxed);
     st.finish(JobStatus::kFailed);
+  } else {
+    svc.completed.fetch_add(1, std::memory_order_relaxed);
+    st.finish(JobStatus::kDone);
   }
-  if (Worker* w = this_worker()) w->stats().svc_jobs_run++;
+  w.stats().svc_jobs_run++;
   obs::emit_span(obs::Ev::kJob, t0, st.tenant);
 }
 
@@ -92,17 +102,19 @@ ServiceState::ServiceState(Runtime& runtime)
     ++tenant;
     pos = comma + 1;
   }
-  thread = std::thread(&ServiceState::dispatcher_main, this);
 }
 
-ServiceState::~ServiceState() {
+void ServiceState::shutdown() {
   stop.store(true, std::memory_order_release);
-  submit_parker.notify_all();
+  rt.work_parker().notify_all();
   if (thread.joinable()) thread.join();
 }
 
 JobToken ServiceState::submit(std::function<void(JobContext&)> fn,
                               const SubmitOptions& opts) {
+  std::call_once(started, [this] {
+    thread = std::thread(&ServiceState::service_main, this);
+  });
   auto st = std::make_shared<JobState>();
   st->fn = std::move(fn);
   st->tenant = ServiceQueue::fold_tenant(opts.tenant);
@@ -114,7 +126,7 @@ JobToken ServiceState::submit(std::function<void(JobContext&)> fn,
   }
   submitted.fetch_add(1, std::memory_order_relaxed);
   JobToken token(std::move(st));
-  if (submit_parker.has_waiters()) submit_parker.notify_all();
+  rt.notify_work();
   return token;
 }
 
@@ -131,119 +143,79 @@ ServiceStats ServiceState::stats() const {
   return s;
 }
 
-void ServiceState::spawn_job(std::shared_ptr<JobState> job) {
-  ServiceState* svc = this;
-  xk::spawn([job = std::move(job), svc] { run_job(*job, *svc); });
+bool ServiceState::run_one(Worker& w) {
+  // Counted before the pop: the service thread reads the lanes dry and
+  // then `running` at zero, so it cannot miss a job popped in between.
+  running.fetch_add(1, std::memory_order_seq_cst);
+  std::shared_ptr<JobState> job = queue.pop();
+  if (job) run_job(*job, *this, w);
+  running.fetch_sub(1, std::memory_order_seq_cst);
+  return job != nullptr;
 }
 
-void ServiceState::dispatcher_main() {
+void ServiceState::service_main() {
+  Parker& idle = rt.work_parker();
   for (;;) {
-    // Long park between job batches (queue empty, no section open).
+    // No section open and the lanes dry: sleep until a submit's
+    // notify_work (or the stop) wakes this thread.
     while (!stop.load(std::memory_order_acquire) && queue.depth() == 0) {
-      const std::uint32_t e = submit_parker.prepare();
-      submit_parker.announce();
+      const std::uint32_t e = idle.prepare();
+      idle.announce();
       if (stop.load(std::memory_order_acquire) || queue.depth() != 0) {
-        submit_parker.retract();
+        idle.retract();
         break;
       }
-      submit_parker.park(e, std::chrono::milliseconds(5));
-      submit_parker.retract();
+      idle.park(e, std::chrono::milliseconds(5));
+      idle.retract();
     }
-    if (stop.load(std::memory_order_acquire) && queue.depth() == 0) return;
-    run_open_section();
-  }
-  // Unreached: the loop above returns only through the stop branch — a
-  // stopping dispatcher still drains the whole queue first (admission is
-  // a promise; tokens must all turn terminal before ~ServiceState joins).
-}
-
-void ServiceState::run_open_section() {
-  // With a lone pool worker there is no thief to execute spawned jobs
-  // while the dispatcher keeps feeding; sync after every burst instead.
-  const bool solo = rt.nworkers() < 2;
-
-  try {
-    rt.begin();  // claims a free master slot
-  } catch (const std::logic_error&) {
-    // Every master slot is busy with client sections (XK_SECTIONS too
-    // low for this mix). Back off and retry from the dispatcher loop —
-    // the queued jobs stay admitted.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    return;
-  }
-  sections.fetch_add(1, std::memory_order_relaxed);
-  std::size_t since_sync = 0;
-  for (;;) {
-    std::size_t burst = 0;
-    while (burst < kBatch) {
-      auto job = queue.pop();
-      if (!job) break;
-      spawn_job(std::move(job));
-      ++burst;
-    }
-    since_sync += burst;
-    if (burst != 0) {
-      if (solo || since_sync >= kSyncEvery) {
-        xk::sync();
-        since_sync = 0;
-      }
+    if (queue.depth() == 0) return;  // stopping, and every job has run
+    try {
+      rt.begin();  // claims a free master slot and wakes the pool
+    } catch (const std::logic_error&) {
+      // Every master slot is busy with client sections (XK_SECTIONS too
+      // low for this mix); their idle loops pull jobs meanwhile. Back off
+      // and retry — the queued jobs stay admitted.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
       continue;
     }
-    // Queue dry: finish what's in flight (helping the pool), then hold
-    // the section open for an idle grace so a burst in progress doesn't
-    // pay a close/reopen per lull.
-    xk::sync();
-    since_sync = 0;
-    if (queue.depth() != 0) continue;
-    if (stop.load(std::memory_order_acquire)) break;
-    const std::uint32_t e = submit_parker.prepare();
-    submit_parker.announce();
-    if (queue.depth() == 0 && !stop.load(std::memory_order_acquire)) {
-      submit_parker.park(e, kIdleGrace);
-    }
-    submit_parker.retract();
-    if (queue.depth() == 0) break;  // grace expired: close and long-park
+    sections.fetch_add(1, std::memory_order_relaxed);
+    // Idle like a pool worker (pull, steal, park) until the lanes stayed
+    // dry for the grace with no pulled job still running, so the ring and
+    // stats drains in end() never race a job. Stopping skips the grace,
+    // never the drain.
+    auto busy_at = std::chrono::steady_clock::now();
+    this_worker()->steal_idle([&] {
+      const auto now = std::chrono::steady_clock::now();
+      if (queue.depth() != 0 ||
+          running.load(std::memory_order_seq_cst) != 0) {
+        busy_at = now;
+        return false;
+      }
+      return stop.load(std::memory_order_acquire) ||
+             now - busy_at >= kIdleGrace;
+    });
+    rt.end();
   }
-  rt.end();  // drains everything still in flight
 }
 
 }  // namespace detail
 
 // ---- Runtime service glue (declared in runtime.hpp) -----------------------
 
-detail::ServiceState& Runtime::service() {
-  if (detail::ServiceState* s = service_live_.load(std::memory_order_acquire)) {
-    return *s;
-  }
-  std::lock_guard lock(service_mu_);
-  if (!service_) {
-    service_ = std::make_unique<detail::ServiceState>(*this);
-    service_live_.store(service_.get(), std::memory_order_release);
-  }
-  return *service_;
-}
-
 JobToken Runtime::submit(std::function<void()> fn, SubmitOptions opts) {
-  return service().submit(
+  return service_.submit(
       [fn = std::move(fn)](JobContext&) { fn(); }, opts);
 }
 
 JobToken Runtime::submit(std::function<void(JobContext&)> fn,
                          SubmitOptions opts) {
-  return service().submit(std::move(fn), opts);
+  return service_.submit(std::move(fn), opts);
 }
 
 void Runtime::set_tenant_weight(unsigned tenant, unsigned weight) {
-  service().queue.set_weight(tenant, weight);
+  service_.queue.set_weight(tenant, weight);
 }
 
-ServiceStats Runtime::service_stats() const {
-  // const_cast-free read path: the atomic pointer is set once service()
-  // constructs the state and cleared only in ~Runtime.
-  if (detail::ServiceState* s = service_live_.load(std::memory_order_acquire)) {
-    return s->stats();
-  }
-  return ServiceStats{};
-}
+ServiceStats Runtime::service_stats() const { return service_.stats(); }
 
 }  // namespace xk

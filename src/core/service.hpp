@@ -12,12 +12,17 @@
 //  * `ServiceQueue` — per-tenant admission-controlled lanes drained by
 //    smooth weighted round-robin. Deterministic (no clock, no RNG): given
 //    the same push sequence it yields the same pick sequence, which is
-//    what the seeded priority tests pin.
-//  * `detail::ServiceState` — the dispatcher: one thread that parks on a
-//    submit eventcount, opens a runtime section on one of the master
-//    slots (see Runtime::begin), spawns queued jobs as ordinary tasks
-//    (stealable by the whole pool), and closes the section after an idle
-//    grace so bursts don't pay a begin/end per job.
+//    what the seeded priority tests pin. The lanes are the service's only
+//    hand-off: every idle worker (pool workers, joiners, the service
+//    thread) pops a job before each steal attempt and runs it in a fresh
+//    frame of its own stack (Worker::steal_until_on).
+//  * `detail::ServiceState` — the lanes, the counters and the service
+//    thread, owned by the Runtime. The thread dispatches nothing: it
+//    holds a section open on one of the master slots (see
+//    Runtime::begin) while jobs flow, so the pool is awake and a
+//    1-worker runtime still has an executor, runs the same idle loop as
+//    the pool, and closes the section once the lanes stayed dry for an
+//    idle grace with no pulled job still running.
 //
 // Job state machine (one atomic byte):
 //
@@ -50,10 +55,11 @@
 namespace xk {
 
 class Runtime;
+class Worker;
 class JobContext;
 
 enum class JobStatus : std::uint8_t {
-  kQueued,     ///< admitted, waiting for the dispatcher
+  kQueued,     ///< admitted, waiting in its tenant lane
   kRunning,    ///< body executing on some worker
   kDone,       ///< body returned normally
   kFailed,     ///< body threw; JobToken::get rethrows
@@ -235,7 +241,6 @@ class JobToken {
   }
 
  private:
-  friend class Runtime;
   friend struct detail::ServiceState;
   explicit JobToken(std::shared_ptr<detail::JobState> st)
       : st_(std::move(st)) {}
@@ -244,21 +249,22 @@ class JobToken {
 };
 
 /// Service accounting, all monotonically increasing except `queued`.
-/// Cancel/complete counts are settled by the dispatcher when it pops the
-/// job, so they can lag the token-visible state by one scheduling round.
+/// Cancel/complete counts are settled by the worker that pops the job, so
+/// a cancelled job's count lags its token until some worker pops it.
 struct ServiceStats {
   std::uint64_t submitted = 0;   ///< admitted into a lane
   std::uint64_t rejected = 0;    ///< refused at admission
   std::uint64_t completed = 0;   ///< bodies that returned (kDone)
   std::uint64_t failed = 0;      ///< bodies that threw (kFailed)
-  std::uint64_t cancelled = 0;   ///< cancel() wins observed at dispatch
-  std::uint64_t sections = 0;    ///< dispatcher sections opened
+  std::uint64_t cancelled = 0;   ///< cancel() wins observed at the pop
+  std::uint64_t sections = 0;    ///< service-thread sections opened
   std::uint64_t queued = 0;      ///< currently waiting in lanes
   std::uint64_t max_queued = 0;  ///< lane-total high-water mark
 };
 
 /// Per-tenant admission + smooth weighted round-robin pick. Thread-safe;
-/// one mutex (the dispatcher is the only popper, submitters only push).
+/// one mutex for pushes (submitters) and pops (idle workers), plus a
+/// lock-free lane-depth word so an idle poll of dry lanes costs one load.
 /// Deterministic by construction — the priority tests replay it.
 class ServiceQueue {
  public:
@@ -284,8 +290,11 @@ class ServiceQueue {
     Lane& l = lane(fold_tenant(job->tenant));
     if (cap_ != 0 && l.q.size() >= cap_) return false;
     l.q.push_back(std::move(job));
-    ++depth_;
-    if (depth_ > max_depth_) max_depth_ = depth_;
+    const std::size_t d = depth_.load(std::memory_order_relaxed) + 1;
+    // xk-order: the lane-depth word is only a hint for idle polls; the job
+    // itself is handed over under mu_, which every popper takes.
+    depth_.store(d, std::memory_order_relaxed);
+    if (d > max_depth_) max_depth_ = d;
     return true;
   }
 
@@ -308,14 +317,16 @@ class ServiceQueue {
     best->credit -= total;
     auto job = std::move(best->q.front());
     best->q.pop_front();
-    --depth_;
+    // xk-order: hint only, as in push(); the hand-off rides mu_.
+    depth_.store(depth_.load(std::memory_order_relaxed) - 1,
+                 std::memory_order_relaxed);
     return job;
   }
 
-  std::size_t depth() const {
-    std::lock_guard lock(mu_);
-    return depth_;
-  }
+  /// Jobs currently queued across all lanes. Lock-free and possibly
+  /// stale: idle workers poll it before taking the mutex, and a poll that
+  /// misses a fresh push is covered by the submit's wake.
+  std::size_t depth() const { return depth_.load(std::memory_order_relaxed); }
 
   std::size_t max_depth() const {
     std::lock_guard lock(mu_);
@@ -338,40 +349,45 @@ class ServiceQueue {
   mutable std::mutex mu_;
   std::vector<Lane> lanes_;
   std::size_t cap_;
-  std::size_t depth_ = 0;
+  std::atomic<std::size_t> depth_{0};  ///< written under mu_
   std::size_t max_depth_ = 0;
 };
 
 namespace detail {
 
-/// The dispatcher: owns the queue, the submit eventcount and the thread
-/// that turns queued jobs into spawned tasks inside master-slot sections.
-/// Created lazily by Runtime::submit; destroyed first in ~Runtime (stops,
-/// runs every job still queued — admission is a promise — then joins).
+/// The lanes, the service counters and the service thread. A Runtime
+/// member, so the lanes outlive every worker that can poll them; only the
+/// thread starts lazily, at the first submit. ~Runtime stops it before
+/// the pool joins: every job still queued runs (admission is a promise).
 struct ServiceState {
   explicit ServiceState(Runtime& rt);
-  ~ServiceState();
 
   JobToken submit(std::function<void(JobContext&)> fn,
                   const SubmitOptions& opts);
   ServiceStats stats() const;
 
+  /// Pops one queued job and runs it on `w`: body, children, settle.
+  /// False when the lanes were dry.
+  bool run_one(Worker& w);
+
+  /// Stops the service thread once every admitted job ran.
+  void shutdown();
+
   Runtime& rt;
   ServiceQueue queue;
-  Parker submit_parker;  ///< dispatcher sleeps here between arrivals
   std::atomic<bool> stop{false};
+  std::atomic<unsigned> running{0};  ///< pulled jobs not yet settled
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> failed{0};
   std::atomic<std::uint64_t> cancelled{0};
   std::atomic<std::uint64_t> sections{0};
+  std::once_flag started;
   std::thread thread;
 
  private:
-  void dispatcher_main();
-  void run_open_section();
-  void spawn_job(std::shared_ptr<JobState> job);
+  void service_main();
 };
 
 }  // namespace detail

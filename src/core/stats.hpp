@@ -94,10 +94,10 @@ struct WorkerStats {
                                        ///  waiter after a stolen-task completion
   std::uint64_t foreach_chunks = 0;
   std::uint64_t svc_jobs_run = 0;      ///< service jobs whose body this worker
-                                       ///  executed (owner or thief)
-  std::uint64_t svc_jobs_skipped = 0;  ///< service job tasks claimed but not
-                                       ///  run: the job was cancelled while
-                                       ///  still queued
+                                       ///  executed
+  std::uint64_t svc_jobs_skipped = 0;  ///< service jobs this worker popped
+                                       ///  but did not run: the job was
+                                       ///  cancelled while still queued
 
   WorkerStats& operator+=(const WorkerStats& o) {
 #define XK_STAT_ADD(f) f += o.f;

@@ -48,6 +48,7 @@ Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
       backoff_limit_(rt.config().steal_backoff),
       park_threshold_(rt.config().park_threshold),
       reclaim_enabled_(!rt.config().renaming),
+      svc_(&rt.service_),
       work_parker_(&rt.work_parker()),
       progress_parker_(&rt.progress_parker()),
       frames_(kMaxDepth),
@@ -296,7 +297,7 @@ void Worker::drain_current_frame() {
     }
   }
   // Every task reached Term: recycle in place, so a section that loops
-  // spawn+sync (a time loop, the service dispatcher) reuses one arena.
+  // spawn+sync (a time loop, say) reuses one arena.
   if (!f.pristine()) recycle_frame(f, depth_.load(std::memory_order_relaxed));
   if (first_exc) std::rethrow_exception(first_exc);
 }

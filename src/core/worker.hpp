@@ -24,6 +24,7 @@
 
 #include "core/config.hpp"
 #include "core/frame.hpp"
+#include "core/service.hpp"
 #include "core/stats.hpp"
 #include "core/task.hpp"
 #include "obs/trace.hpp"
@@ -170,14 +171,15 @@ class Worker {
   /// Rethrows the first child exception after the recycle.
   void drain_current_frame();
 
-  /// Enters the idle loop until `done` becomes true: posts steal requests
-  /// to random victims, backing off as failures accumulate — spin, then
-  /// yield, then park (bounded exponential sleep with the timeout as the
-  /// lost-wakeup backstop). Used by foreach completion waits; the sleeper
-  /// waits on the *progress* parker, woken by foreach retirement and the
-  /// section-end quiescence fire (and re-validates stealable work before
-  /// sleeping). A join on one specific stolen task uses steal_until_on
-  /// with the private join parker instead (see wait_and_finalize).
+  /// Enters the idle loop until `done` becomes true: pulls a queued service
+  /// job or posts a steal request to a random victim, backing off as
+  /// failures accumulate — spin, then yield, then park (bounded
+  /// exponential sleep with the timeout as the lost-wakeup backstop).
+  /// Used by foreach completion waits; the sleeper waits on the *progress*
+  /// parker, woken by foreach retirement and the section-end quiescence
+  /// fire (and re-validates stealable work before sleeping). A join on one
+  /// specific stolen task uses steal_until_on with the private join parker
+  /// instead (see wait_and_finalize).
   template <typename Pred>
   void steal_until(Pred&& done) {
     steal_until_on(*progress_parker_, done);
@@ -194,7 +196,7 @@ class Worker {
   void steal_until_on(Parker& parker, Pred&& done) {
     int failures = 0;
     while (!done()) {
-      if (try_steal_once()) {
+      if (try_run_job() || try_steal_once()) {
         failures = 0;
         continue;
       }
@@ -210,7 +212,7 @@ class Worker {
       // a bounded, escalating timeout as the lost-wakeup backstop.
       const std::uint32_t epoch = parker.prepare();
       parker.announce();
-      if (done() || try_steal_once()) {
+      if (done() || try_run_job() || try_steal_once()) {
         parker.retract();
         failures = 0;
         continue;
@@ -222,6 +224,15 @@ class Worker {
       obs::emit_span(obs::Ev::kPark, park_t0, woken ? 1 : 0);
       parker.retract();
     }
+  }
+
+  /// Pulls one queued service job and runs it in a fresh frame of this
+  /// stack, behind try_steal_once's depth guard. One relaxed load of the
+  /// lane-depth word while the lanes are dry. True when a job ran.
+  bool try_run_job() {
+    return svc_->queue.depth() != 0 &&
+           depth_.load(std::memory_order_relaxed) <= kMaxDepth - 64 &&
+           svc_->run_one(*this);
   }
 
   /// One steal attempt: pick a victim (same-domain first, escalating to
@@ -426,6 +437,7 @@ class Worker {
   unsigned victim_rr_ = 0;              ///< rotation cursor (deterministic mode)
   int local_fails_ = 0;                 ///< consecutive failed local-tier rounds
   OccupancyBoard* occupancy_ = nullptr;  ///< the runtime's occupancy bits
+  detail::ServiceState* svc_;            ///< the runtime's tenant lanes
   // The runtime's shared parkers (cached: Runtime is incomplete here).
   Parker* work_parker_;
   Parker* progress_parker_;

@@ -165,7 +165,7 @@ std::string slurp(const std::string& path) {
 // singleton and the first configured path owns the file. This one test
 // therefore covers the whole drain surface — a plain run() section, two
 // client sections held open *concurrently* from external threads, and
-// service-mode jobs (the dispatcher's own overlapping section) — because
+// service-mode jobs (the service thread's own overlapping section) — because
 // the drain-at-last-close rule is exactly what overlap could corrupt.
 TEST(TraceFile, RoundTripValidates) {
   const std::string path =
@@ -176,7 +176,7 @@ TEST(TraceFile, RoundTripValidates) {
     xk::Config c = cfg(2);
     c.trace_path = path;
     c.trace_cap = 4096;
-    c.sections = 3;  // two client masters + the service dispatcher
+    c.sections = 3;  // two client masters + the service thread
     xk::Runtime rt(c);
     EXPECT_TRUE(rt.tracing());
     ASSERT_NE(rt.trace_ring(0), nullptr);
@@ -194,7 +194,7 @@ TEST(TraceFile, RoundTripValidates) {
 
     // Overlap phase: both clients hold their sections open at once (the
     // handshake guarantees it) while service jobs flow through the
-    // dispatcher's section. Every ring drains exactly once, at the last
+    // service thread's section. Every ring drains exactly once, at the last
     // close — duplicated or dropped spans would fail the validator's
     // per-lane monotonicity below.
     std::atomic<int> open_clients{0};

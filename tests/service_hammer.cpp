@@ -27,7 +27,7 @@ constexpr int kClientSections = 8;
 constexpr int kSpawnsPerSection = 64;
 
 /// Polls service_stats() until every admitted job's accounting has settled
-/// executor-side (cancel-after-queue settles only when the dispatcher pops
+/// executor-side (cancel-after-queue settles only when a worker pops
 /// the corpse, so token-terminal does not imply stats-terminal).
 bool wait_stats_settled(xk::Runtime& rt, std::chrono::seconds deadline) {
   const auto until = std::chrono::steady_clock::now() + deadline;
@@ -45,7 +45,7 @@ bool wait_stats_settled(xk::Runtime& rt, std::chrono::seconds deadline) {
 TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   xk::Config c;
   c.nworkers = 4;
-  c.sections = 3;  // dispatcher + two client masters, all overlapping
+  c.sections = 3;  // service thread + two client masters, all overlapping
   c.bind_threads = false;
   c.svc_queue_cap = 0;  // unbounded: every submit must turn terminal
   xk::Runtime rt(c);
@@ -105,7 +105,7 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   }
 
   // Clients: overlapping begin()/end() sections with fork-join bursts, so
-  // the dispatcher's sections and the client masters share the pool, the
+  // the service thread's sections and the client masters share the pool, the
   // OccupancyBoard, and the parker wake paths the whole time.
   for (int cidx = 0; cidx < kClients; ++cidx) {
     threads.emplace_back([&] {
@@ -115,7 +115,7 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
             rt.begin();
             break;
           } catch (const std::logic_error&) {
-            // All master slots busy: the other client + dispatcher hold
+            // All master slots busy: the other client + service thread hold
             // them. Back off and retry; slot release is the thing under
             // test here, not fairness.
             std::this_thread::sleep_for(std::chrono::microseconds(50));
@@ -149,7 +149,7 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
   EXPECT_EQ(client_work.load(),
             static_cast<std::int64_t>(kClients) * kClientSections *
                 kSpawnsPerSection);
-  // All sections close: the dispatcher holds its own open for a 200 us
+  // All sections close: the service thread holds its own open for a 200 us
   // idle grace after the last job, so poll for the fold. Once
   // flat, nothing may stay armed and no gauge bleed from the overlap.
   const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -163,7 +163,7 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
 
 // Shutdown drain: destroy the runtime with hundreds of jobs still queued
 // and none of their tokens waited. Admission is a promise — the stopping
-// dispatcher must drain every admitted job before joining, every token
+// runtime must run every admitted job before its pool joins, every token
 // must be terminal the moment ~Runtime returns, and the tokens (which
 // outlive the runtime via their shared state) must stay safe to query and
 // wait on afterwards (ASan's gate).
@@ -183,7 +183,7 @@ TEST(ServiceHammer, ShutdownDrainsQueuedJobsTokensOutliveRuntime) {
           ran.fetch_add(1, std::memory_order_relaxed);
         }));
       }
-      // No waits: ~Runtime races the dispatcher mid-burst.
+      // No waits: ~Runtime races the workers mid-burst.
     }
     int done = 0;
     for (xk::JobToken& tok : tokens) {

@@ -4,6 +4,8 @@
 // deterministic seeded admission/priority battery over the tenant
 // scheduler. Everything here runs in ctest tier-1 (label "unit"); the
 // oversubscribed racing variants live in service_hammer.cpp.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -98,8 +100,47 @@ TEST(Service, ExceptionPropagatesThroughGet) {
   t.wait();
   EXPECT_EQ(t.status(), xk::JobStatus::kFailed);
   EXPECT_THROW(t.get(), std::runtime_error);
-  // A failed job must not leak its exception into the dispatcher's
-  // section: later jobs run normally.
+  // A failed job must not leak its exception into the section of the
+  // worker that ran it: later jobs run normally.
+  xk::JobToken ok = rt.submit([] {});
+  ok.get();
+  EXPECT_EQ(ok.status(), xk::JobStatus::kDone);
+}
+
+// A job is its body plus its children: the token settles only after
+// every task the body spawned finished, and a child's exception fails the
+// job instead of escaping into the executing worker's section.
+TEST(Service, JobSettlesAfterItsChildren) {
+  std::atomic<int> child_done{0};
+  xk::Runtime rt(cfg(2));
+  xk::JobToken t = rt.submit([&child_done] {
+    xk::spawn([&child_done] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      child_done.store(1, std::memory_order_release);
+    });
+  });
+  t.wait();
+  EXPECT_EQ(child_done.load(std::memory_order_acquire), 1);
+  EXPECT_EQ(t.status(), xk::JobStatus::kDone);
+}
+
+TEST(Service, ChildExceptionFailsTheJob) {
+  xk::Runtime rt(cfg(2));
+  xk::JobToken t = rt.submit([] {
+    xk::spawn([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      throw std::runtime_error("child boom");
+    });
+  });
+  t.wait();
+  EXPECT_EQ(t.status(), xk::JobStatus::kFailed);
+  try {
+    t.get();
+    ADD_FAILURE() << "get() did not rethrow the child's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "child boom");
+  }
+  EXPECT_EQ(rt.service_stats().failed, 1u);
   xk::JobToken ok = rt.submit([] {});
   ok.get();
   EXPECT_EQ(ok.status(), xk::JobStatus::kDone);
@@ -122,9 +163,9 @@ TEST(Service, WaitForTimesOutThenCompletes) {
 // ---- cancellation ---------------------------------------------------------
 
 TEST(Service, CancelBeforeExecutionWins) {
-  // One pool worker and a blocking first job: the dispatcher executes
-  // inline (solo mode), so the jobs queued behind the blocker provably
-  // have not started when cancel() lands.
+  // One pool worker and a blocking first job: the service thread is the
+  // runtime's only executor and it is inside the blocker, so the jobs
+  // queued behind it provably have not started when cancel() lands.
   xk::Runtime rt(cfg(1));
   std::atomic<bool> entered{false}, release{false};
   xk::JobToken blocker = rt.submit([&] {
@@ -169,6 +210,72 @@ TEST(Service, CooperativeCancelDuringExecution) {
   EXPECT_TRUE(observed.load());
   EXPECT_EQ(t.status(), xk::JobStatus::kDone);
   EXPECT_TRUE(t.cancel_requested());
+}
+
+// ---- the hand-off: idle workers pull from the lanes ----------------------
+
+TEST(Service, StalledExecutorDoesNotStallTheLanes) {
+  // One job holds its executor until the latch opens; the other idle
+  // workers keep pulling, so the jobs queued behind it finish first.
+  std::atomic<bool> entered{false}, latch{false};
+  std::atomic<int> ran{0};
+  xk::Runtime rt(cfg(3));
+  xk::JobToken blocker = rt.submit([&] {
+    entered.store(true, std::memory_order_release);
+    while (!latch.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::vector<xk::JobToken> tokens;
+  for (int i = 0; i < 200; ++i) {
+    tokens.push_back(rt.submit([&ran] { ran.fetch_add(1); }));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int late = 0;
+  for (auto& t : tokens) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (!t.wait_for(std::max<std::chrono::nanoseconds>(left, {}))) ++late;
+  }
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(ran.load(), 200);
+  EXPECT_FALSE(blocker.done());
+  latch.store(true, std::memory_order_release);
+  blocker.wait();
+  EXPECT_EQ(blocker.status(), xk::JobStatus::kDone);
+}
+
+TEST(Service, DestroyWhileWorkersPoll) {
+  // ~Runtime while the pool is still pulling: the service thread keeps
+  // its section open until the lanes are dry, and the lanes outlive every
+  // worker that polls them. Every admitted token is terminal afterwards.
+  constexpr int kSubmitters = 2, kPer = 500;
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> ran{0};
+    std::array<std::vector<xk::JobToken>, kSubmitters> tokens;
+    {
+      xk::Runtime rt(cfg(4));
+      std::vector<std::thread> subs;
+      for (int s = 0; s < kSubmitters; ++s) {
+        subs.emplace_back([&rt, &ran, &mine = tokens[s]] {
+          mine.reserve(kPer);
+          for (int i = 0; i < kPer; ++i) {
+            mine.push_back(rt.submit(
+                [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
+          }
+        });
+      }
+      for (auto& t : subs) t.join();
+    }
+    int done = 0;
+    for (auto& mine : tokens) {
+      for (auto& t : mine) {
+        ASSERT_TRUE(t.done()) << "round " << round;
+        if (t.status() == xk::JobStatus::kDone) ++done;
+      }
+    }
+    ASSERT_EQ(done, kSubmitters * kPer) << "round " << round;
+    ASSERT_EQ(ran.load(), kSubmitters * kPer) << "round " << round;
+  }
 }
 
 // ---- admission control ----------------------------------------------------
@@ -265,7 +372,7 @@ TEST(Service, SectionSlotExhaustionThrows) {
 
 TEST(Service, SubmitWhileClientSectionOpen) {
   // submit() keeps working while a client holds a section open — the
-  // dispatcher claims the other master slot and both proceed.
+  // service thread claims the other master slot and both proceed.
   xk::Runtime rt(cfg(2, /*sections=*/2));
   rt.begin();
   std::atomic<int> ran{0};
@@ -417,7 +524,7 @@ TEST(ServicePriority, WeightedTenantsDrainWithoutStarvation) {
     }
   });
   while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
-  // Backlog both lanes while the dispatcher is pinned in the blocker.
+  // Backlog both lanes while the only executor is pinned in the blocker.
   std::vector<unsigned> completion_order;
   std::mutex order_mu;
   std::vector<xk::JobToken> tokens;
