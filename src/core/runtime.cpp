@@ -301,8 +301,9 @@ void Runtime::end() {
     // root frame is still pushed, so the root count never dips to zero
     // and nothing fires early.
     w->pop_frame();
-    open_sections_.fetch_sub(1, std::memory_order_release);
     if (last) occupancy_.disarm_quiesce();  // defensive; fold consumed it
+    // Last, so in_section() reading false means the close is whole.
+    open_sections_.fetch_sub(1, std::memory_order_release);
     // The section span closes before the final drain (it must be in that
     // drain's batch). Non-last sections leave their span in the master's
     // ring; the last close copies every ring out after quiescing the

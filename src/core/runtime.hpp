@@ -184,8 +184,8 @@ class Runtime {
   ///    potentially several legitimate waiters (a foreach retiring);
   ///    these are few, so retirement can afford notify_all.
   /// A worker suspended on one specific stolen task waits on its private
-  /// join parker instead (Worker::join_parker), woken exactly once by the
-  /// finishing thief; section end is signalled once by the occupancy
+  /// join parker instead (Worker::wait_and_finalize), woken exactly once
+  /// by the finishing thief; section end is signalled once by the occupancy
   /// board's quiescence fold (OccupancyBoard::arm_quiesce), which fires
   /// both shared parkers when the master's root-frame pop empties the
   /// machine. Neither event broadcasts per completion any more.

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -82,30 +83,25 @@ ServiceState::ServiceState(Runtime& runtime)
     : rt(runtime), queue(runtime.config().svc_queue_cap) {
   // XK_SVC_WEIGHTS="4,2,1" seeds tenants 0,1,2; set_tenant_weight can
   // override later. Malformed entries are skipped (env knob policy).
-  const std::string& spec = rt.config().svc_weights;
-  unsigned tenant = 0;
-  std::size_t pos = 0;
-  while (pos < spec.size() && tenant < ServiceQueue::kMaxTenants) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string tok = spec.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      char* endp = nullptr;
-      const long w = std::strtol(tok.c_str(), &endp, 10);
-      // Upper bound alongside the sign check: a 64-bit long narrowed to
-      // unsigned could wrap a huge weight to 0 and silently starve the
-      // tenant the operator meant to boost.
-      if (endp != tok.c_str() && w > 0 && w <= 0xffffffffL) {
-        queue.set_weight(tenant, static_cast<unsigned>(w));
-      }
+  std::istringstream spec(rt.config().svc_weights);
+  std::string tok;
+  for (unsigned tenant = 0;
+       tenant < ServiceQueue::kMaxTenants && std::getline(spec, tok, ',');
+       ++tenant) {
+    char* endp = nullptr;
+    const long w = std::strtol(tok.c_str(), &endp, 10);
+    // Upper bound alongside the sign check: a 64-bit long narrowed to
+    // unsigned could wrap a huge weight to 0 and silently starve the
+    // tenant the operator meant to boost.
+    if (endp != tok.c_str() && w > 0 && w <= 0xffffffffL) {
+      queue.set_weight(tenant, static_cast<unsigned>(w));
     }
-    ++tenant;
-    pos = comma + 1;
   }
 }
 
 void ServiceState::shutdown() {
   stop.store(true, std::memory_order_release);
+  submit_parker.notify_all();
   rt.work_parker().notify_all();
   if (thread.joinable()) thread.join();
 }
@@ -127,6 +123,8 @@ JobToken ServiceState::submit(std::function<void(JobContext&)> fn,
   submitted.fetch_add(1, std::memory_order_relaxed);
   JobToken token(std::move(st));
   rt.notify_work();
+  // The service thread, alone on its own parker between sections.
+  if (submit_parker.has_waiters()) submit_parker.notify_all();
   return token;
 }
 
@@ -154,31 +152,42 @@ bool ServiceState::run_one(Worker& w) {
 }
 
 void ServiceState::service_main() {
-  Parker& idle = rt.work_parker();
   for (;;) {
-    // No section open and the lanes dry: sleep until a submit's
-    // notify_work (or the stop) wakes this thread.
-    while (!stop.load(std::memory_order_acquire) && queue.depth() == 0) {
-      const std::uint32_t e = idle.prepare();
-      idle.announce();
-      if (stop.load(std::memory_order_acquire) || queue.depth() != 0) {
-        idle.retract();
+    // No section open and the lanes dry: sleep until a submit (or the
+    // stop) wakes this thread.
+    while (!stop.load(std::memory_order_acquire) && !jobs_waiting()) {
+      const std::uint32_t e = submit_parker.prepare();
+      submit_parker.announce();
+      if (stop.load(std::memory_order_acquire) || jobs_waiting()) {
+        submit_parker.retract();
         break;
       }
-      idle.park(e, std::chrono::milliseconds(5));
-      idle.retract();
+      submit_parker.park(e, std::chrono::milliseconds(5));
+      submit_parker.retract();
     }
-    if (queue.depth() == 0) return;  // stopping, and every job has run
-    try {
-      rt.begin();  // claims a free master slot and wakes the pool
-    } catch (const std::logic_error&) {
-      // Every master slot is busy with client sections (XK_SECTIONS too
-      // low for this mix); their idle loops pull jobs meanwhile. Back off
-      // and retry — the queued jobs stay admitted.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    // Open a section only holding a job. Idle loops still inside client
+    // sections pull jobs too; a section opened on a depth read they
+    // already emptied would close again on nothing, after the job's
+    // token settled.
+    std::shared_ptr<JobState> job = queue.pop();
+    if (!job) {
+      if (stop.load(std::memory_order_acquire) && !jobs_waiting()) return;
       continue;
     }
+    for (;;) {
+      try {
+        rt.begin();  // claims a free master slot and wakes the pool
+        break;
+      } catch (const std::logic_error&) {
+        // Every master slot is busy with client sections (XK_SECTIONS too
+        // low for this mix); their idle loops pull the other jobs
+        // meanwhile. Back off and retry.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
     sections.fetch_add(1, std::memory_order_relaxed);
+    run_job(*job, *this, *this_worker());
+    job.reset();
     // Idle like a pool worker (pull, steal, park) until the lanes stayed
     // dry for the grace with no pulled job still running, so the ring and
     // stats drains in end() never race a job. Stopping skips the grace,
@@ -186,8 +195,7 @@ void ServiceState::service_main() {
     auto busy_at = std::chrono::steady_clock::now();
     this_worker()->steal_idle([&] {
       const auto now = std::chrono::steady_clock::now();
-      if (queue.depth() != 0 ||
-          running.load(std::memory_order_seq_cst) != 0) {
+      if (jobs_waiting() || running.load(std::memory_order_seq_cst) != 0) {
         busy_at = now;
         return false;
       }

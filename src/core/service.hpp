@@ -13,16 +13,15 @@
 //    smooth weighted round-robin. Deterministic (no clock, no RNG): given
 //    the same push sequence it yields the same pick sequence, which is
 //    what the seeded priority tests pin. The lanes are the service's only
-//    hand-off: every idle worker (pool workers, joiners, the service
-//    thread) pops a job before each steal attempt and runs it in a fresh
-//    frame of its own stack (Worker::steal_until_on).
+//    hand-off: every idle loop (Worker::steal_until_on) pops a job before
+//    each steal attempt and runs it in a fresh frame of its own stack.
 //  * `detail::ServiceState` — the lanes, the counters and the service
-//    thread, owned by the Runtime. The thread dispatches nothing: it
-//    holds a section open on one of the master slots (see
-//    Runtime::begin) while jobs flow, so the pool is awake and a
-//    1-worker runtime still has an executor, runs the same idle loop as
-//    the pool, and closes the section once the lanes stayed dry for an
-//    idle grace with no pulled job still running.
+//    thread, owned by the Runtime. The thread dispatches nothing: on the
+//    first job after a lull it pops that job, opens a section on one of
+//    the master slots (see Runtime::begin) so the pool is awake and a
+//    1-worker runtime still has an executor, runs the job, then runs the
+//    same idle loop as the pool and closes the section once the lanes
+//    stayed dry for an idle grace with no pulled job still running.
 //
 // Job state machine (one atomic byte):
 //
@@ -196,35 +195,12 @@ class JobToken {
   /// Blocks until the job is terminal (eventcount park with a timed
   /// backstop, same discipline as the scheduler's idle parking).
   void wait() const {
-    while (!st_->terminal()) {
-      const std::uint32_t e = st_->done.prepare();
-      st_->done.announce();
-      if (st_->terminal()) {
-        st_->done.retract();
-        return;
-      }
-      st_->done.park(e, std::chrono::milliseconds(2));
-      st_->done.retract();
-    }
+    wait_until(std::chrono::steady_clock::time_point::max());
   }
 
   /// wait() with a deadline; true when the job turned terminal in time.
   bool wait_for(std::chrono::nanoseconds timeout) const {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (!st_->terminal()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return st_->terminal();
-      const std::uint32_t e = st_->done.prepare();
-      st_->done.announce();
-      if (st_->terminal()) {
-        st_->done.retract();
-        return true;
-      }
-      st_->done.park(e, std::min<std::chrono::nanoseconds>(
-                            deadline - now, std::chrono::milliseconds(2)));
-      st_->done.retract();
-    }
-    return true;
+    return wait_until(std::chrono::steady_clock::now() + timeout);
   }
 
   /// wait(), then rethrows a kFailed body's exception; a kRejected token
@@ -244,6 +220,21 @@ class JobToken {
   friend struct detail::ServiceState;
   explicit JobToken(std::shared_ptr<detail::JobState> st)
       : st_(std::move(st)) {}
+
+  bool wait_until(std::chrono::steady_clock::time_point deadline) const {
+    while (!st_->terminal()) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) return st_->terminal();
+      const std::uint32_t e = st_->done.prepare();
+      st_->done.announce();
+      if (!st_->terminal()) {
+        st_->done.park(e, std::min<std::chrono::nanoseconds>(
+                              deadline - now, std::chrono::milliseconds(2)));
+      }
+      st_->done.retract();
+    }
+    return true;
+  }
 
   std::shared_ptr<detail::JobState> st_;
 };
@@ -323,9 +314,7 @@ class ServiceQueue {
     return job;
   }
 
-  /// Jobs currently queued across all lanes. Lock-free and possibly
-  /// stale: idle workers poll it before taking the mutex, and a poll that
-  /// misses a fresh push is covered by the submit's wake.
+  /// Jobs queued across all lanes: a lock-free hint (see jobs_waiting).
   std::size_t depth() const { return depth_.load(std::memory_order_relaxed); }
 
   std::size_t max_depth() const {
@@ -366,15 +355,21 @@ struct ServiceState {
                   const SubmitOptions& opts);
   ServiceStats stats() const;
 
+  /// True when the lanes may hold a job: one relaxed load of the
+  /// lane-depth word. Possibly stale; a poll that misses a fresh push is
+  /// covered by the submit's wake.
+  bool jobs_waiting() const { return queue.depth() != 0; }
+
   /// Pops one queued job and runs it on `w`: body, children, settle.
-  /// False when the lanes were dry.
-  bool run_one(Worker& w);
+  /// False, after a single load, when the lanes look dry.
+  bool try_run(Worker& w) { return jobs_waiting() && run_one(w); }
 
   /// Stops the service thread once every admitted job ran.
   void shutdown();
 
   Runtime& rt;
   ServiceQueue queue;
+  Parker submit_parker;  ///< the thread sleeps here between sections
   std::atomic<bool> stop{false};
   std::atomic<unsigned> running{0};  ///< pulled jobs not yet settled
   std::atomic<std::uint64_t> submitted{0};
@@ -387,6 +382,7 @@ struct ServiceState {
   std::thread thread;
 
  private:
+  bool run_one(Worker& w);
   void service_main();
 };
 

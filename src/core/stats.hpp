@@ -255,18 +255,15 @@ class OccupancyBoard {
   };
 
   void fire_quiesce() {
-    // The exchange is the exactly-once guarantee: two racing 1->0 edges
-    // cannot both see a non-null pointer. notify_all (not notify_one): the
-    // work parker's rate limiter may drop notify_one wakes, and section
-    // close must reach every sleeper.
-    if (Parker* p = quiesce_progress_.exchange(nullptr,
-                                               std::memory_order_acq_rel)) {
-      p->notify_all();
-    }
-    if (Parker* p =
-            quiesce_work_.exchange(nullptr, std::memory_order_acq_rel)) {
-      p->notify_all();
-    }
+    // The exchanges are the exactly-once guarantee (two racing 1->0 edges
+    // cannot both see a non-null pointer), both taken before either wake
+    // so the event reads disarmed right after the root's 1->0 edge, not a
+    // futex syscall later. notify_all: notify_one's limiter may drop wakes.
+    Parker* progress =
+        quiesce_progress_.exchange(nullptr, std::memory_order_acq_rel);
+    Parker* work = quiesce_work_.exchange(nullptr, std::memory_order_acq_rel);
+    if (progress != nullptr) progress->notify_all();
+    if (work != nullptr) work->notify_all();
   }
 
   Gauge* gauge(unsigned rank) {

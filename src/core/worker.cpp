@@ -449,6 +449,13 @@ Worker* Worker::pick_victim(bool& local_phase) {
   return nullptr;
 }
 
+bool Worker::try_run_job() { return jobs_waiting() && svc_->try_run(*this); }
+
+bool Worker::jobs_waiting() const {
+  return depth_.load(std::memory_order_relaxed) <= kMaxDepth - 64 &&
+         svc_->jobs_waiting();
+}
+
 bool Worker::try_steal_once() {
   // Master slots count as victims (and thieves): a one-worker pool with a
   // service section open still moves work between the two.

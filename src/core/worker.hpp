@@ -24,7 +24,6 @@
 
 #include "core/config.hpp"
 #include "core/frame.hpp"
-#include "core/service.hpp"
 #include "core/stats.hpp"
 #include "core/task.hpp"
 #include "obs/trace.hpp"
@@ -39,6 +38,7 @@ class Runtime;
 class Worker;
 
 namespace detail {
+struct ServiceState;
 inline constinit thread_local Worker* tls_worker = nullptr;
 
 /// Binds/unbinds the calling thread's worker (Runtime internal).
@@ -209,10 +209,12 @@ class Worker {
       // Park. Announce first, then re-validate inside the announce window
       // (a publisher that saw the announce notifies; one that published
       // just before is caught by the extra steal attempt), then sleep with
-      // a bounded, escalating timeout as the lost-wakeup backstop.
+      // a bounded, escalating timeout as the lost-wakeup backstop. A
+      // waiting job is only noticed here and run after the retract, so a
+      // long job never holds a slot among the parker's sleepers.
       const std::uint32_t epoch = parker.prepare();
       parker.announce();
-      if (done() || try_run_job() || try_steal_once()) {
+      if (done() || jobs_waiting() || try_steal_once()) {
         parker.retract();
         failures = 0;
         continue;
@@ -226,14 +228,11 @@ class Worker {
     }
   }
 
-  /// Pulls one queued service job and runs it in a fresh frame of this
-  /// stack, behind try_steal_once's depth guard. One relaxed load of the
-  /// lane-depth word while the lanes are dry. True when a job ran.
-  bool try_run_job() {
-    return svc_->queue.depth() != 0 &&
-           depth_.load(std::memory_order_relaxed) <= kMaxDepth - 64 &&
-           svc_->run_one(*this);
-  }
+  /// The idle loop's share of the service: runs one queued job in a fresh
+  /// frame (ServiceState::try_run), true when one ran. jobs_waiting() is
+  /// the lanes' lock-free depth hint behind try_steal_once's depth guard.
+  bool try_run_job();
+  bool jobs_waiting() const;
 
   /// One steal attempt: pick a victim (same-domain first, escalating to
   /// remote domains after kLocalStealTries failed local rounds), post a
@@ -254,13 +253,6 @@ class Worker {
   /// worker's join parker (see wake_joiner), and commits pending renamed
   /// writes when the task parks in CommitReady.
   void wait_and_finalize(Task* t, Frame& f);
-
-  /// This worker's private join parker: parked on only in
-  /// wait_and_finalize, notified only by the thief that finishes the
-  /// registered task (wake_joiner). notify_all is used there — the single
-  /// waiter makes it as cheap as notify_one without the rate limiter that
-  /// can drop wakes.
-  Parker& join_parker() { return join_parker_; }
 
   std::uint32_t depth_relaxed() const {
     return depth_.load(std::memory_order_relaxed);

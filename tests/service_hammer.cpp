@@ -150,13 +150,16 @@ TEST(ServiceHammer, GlobalLockSubmittersVsOverlappingSections) {
             static_cast<std::int64_t>(kClients) * kClientSections *
                 kSpawnsPerSection);
   // All sections close: the service thread holds its own open for a 200 us
-  // idle grace after the last job, so poll for the fold. Once
-  // flat, nothing may stay armed and no gauge bleed from the overlap.
+  // idle grace after the last job, so poll for the fold and for the close
+  // to finish (the root count drops inside end(), before the close is
+  // whole). Once flat, nothing may stay armed and no gauge bleed from the
+  // overlap.
   const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (rt.occupancy().root_occupied() != 0 &&
+  while ((rt.occupancy().root_occupied() != 0 || rt.in_section()) &&
          std::chrono::steady_clock::now() < until) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_FALSE(rt.in_section());
   EXPECT_EQ(rt.occupancy().root_occupied(), 0);
   EXPECT_FALSE(rt.occupancy().quiesce_armed());
 }

@@ -387,6 +387,32 @@ TEST(Service, SubmitWhileClientSectionOpen) {
   rt.end();
 }
 
+TEST(Service, JobsPulledByAClientKeepTheServiceThread) {
+  // A client section's idle loop pulls the jobs the service thread was
+  // woken for. The thread must go back to sleep, not exit: the job
+  // submitted after the client closes has no other executor.
+  xk::Runtime rt(cfg(2, /*sections=*/2));
+  for (int round = 0; round < 100; ++round) {
+    rt.begin();
+    std::vector<xk::JobToken> pulled;
+    for (int i = 0; i < 8; ++i) {
+      pulled.push_back(rt.submit([] {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }));
+    }
+    xk::this_worker()->steal_until([&] {
+      return std::all_of(pulled.begin(), pulled.end(),
+                         [](const xk::JobToken& t) { return t.done(); });
+    });
+    rt.end();
+    xk::JobToken after = rt.submit([] {});
+    ASSERT_TRUE(after.wait_for(std::chrono::seconds(5))) << "round " << round;
+  }
+}
+
 TEST(Service, NestedBeginOnSameThreadStillThrows) {
   // Overlap is per-thread-slot, not nesting: a bound thread cannot open a
   // second section even when free slots remain.
