@@ -38,15 +38,6 @@ struct Config {
   /// renamed region, exactly as the paper states.
   bool renaming = false;
 
-  /// Failed steal attempts before the idle loop starts yielding the CPU.
-  /// Low values keep oversubscribed (threads > cores) runs healthy.
-  int steal_backoff = 16;
-
-  /// Consecutive failed steal attempts before an idle worker parks on the
-  /// runtime's Parker (bounded exponential sleep, woken on task publication).
-  /// Must exceed steal_backoff; 0 disables parking (pure spin/yield).
-  int park_threshold = 128;
-
   /// Synthetic topology spec (XK_TOPO, "<nodes>x<cores>[x<smt>]"). Empty
   /// defers to the XK_TOPO environment variable when set, else sysfs
   /// discovery — mirroring nworkers = 0 → XK_NCPU, so directly-constructed
@@ -76,7 +67,7 @@ struct Config {
   std::string trace_path;
 
   /// Per-worker trace-ring capacity in events (XK_TRACE_CAP, rounded up
-  /// to a power of two; one event is a cache line). The ring overwrites
+  /// to a power of two, at most 2^20; one event is a cache line). The ring overwrites
   /// its oldest events on overflow — the drop count lands in the trace
   /// file. 0 defers to XK_TRACE_CAP, else 16384 (~1 MiB per worker).
   std::size_t trace_cap = 0;

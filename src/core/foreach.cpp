@@ -106,10 +106,17 @@ bool claim_reserved_slice(ForeachShared& sh, ForeachWork& w, Worker& self) {
 void foreach_body(void* args, Worker& wk) {
   auto* w = static_cast<ForeachWork*>(args);
   foreach_run(*w, wk);
+  // xk-order: the waiter is read before the decrement — once
+  // `outstanding` reaches zero the waiter may return and release `sh`; the
+  // Worker itself lives as long as the runtime. The decrement then pairs
+  // with the waiter's park like any publish (support/parker.hpp): either
+  // the waiter's announced re-check sees zero, or wake() sees the waiter,
+  // with the park timeout as the backstop for the store/load window.
+  Worker* const waiter = w->shared->waiter;
   if (w->shared->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Possibly the last live body: the master may be parked on
-    // sh.finished() in foreach_execute — wake the parked set.
-    wk.runtime().notify_progress();
+    // The last live body: the waiter may be parked on sh.finished() in
+    // foreach_execute — wake it, and only it.
+    waiter->wake();
   }
 }
 
@@ -275,11 +282,12 @@ void foreach_execute(ForeachShared& sh, std::int64_t first, std::int64_t last,
   root.shared = &sh;
   // xk-order: pre-publication init — `sh` is invisible to thieves until
   // the adaptive root task lands in the frame below; that publication
-  // carries the release edge for these stores.
+  // carries the release edge for these stores (and for sh.waiter).
   sh.slices[root_slot]->taken.store(true, std::memory_order_relaxed);
   root.interval.b = sh.slices[root_slot]->b;
   root.interval.e = sh.slices[root_slot]->e;
   sh.outstanding.store(1, std::memory_order_relaxed);
+  sh.waiter = &w;
 
   // Publish the adaptive root task in the current frame and run it through
   // the normal FIFO path (sync claims it; if a thief wins the claim race the

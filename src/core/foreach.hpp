@@ -107,6 +107,9 @@ struct ForeachShared {
 
   std::atomic<std::int64_t> done{0};
   std::atomic<int> outstanding{0};  ///< live work bodies (root + pieces)
+  /// The worker that called parallel_for and waits for completion; the
+  /// last retiring body wakes it. Set before the root task is published.
+  Worker* waiter = nullptr;
   std::atomic<int> refs{1};
   std::atomic<bool> error{false};
   std::mutex exc_mu;

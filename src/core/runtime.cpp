@@ -12,44 +12,45 @@
 
 namespace xk {
 
+namespace {
+
+// Clamped readers: the raw static_casts Config::from_env used to do turned
+// XK_SECTIONS=-1 into 4294967295 master slots (and a negative queue cap
+// into "unbounded"); a value the cast cannot represent now falls back to
+// the compiled-in default, with a warning so a typoed deployment knob is
+// visible instead of silently shaping the runtime. Upper bounds are
+// generous — they reject sign-wraps and absurdities, not big tunings.
+unsigned env_unsigned(const char* name, unsigned dflt,
+                      unsigned max = 1u << 20) {
+  const std::int64_t v = env_int(name, static_cast<std::int64_t>(dflt));
+  if (v < 0 || v > static_cast<std::int64_t>(max)) {
+    std::fprintf(stderr, "xk: ignoring out-of-range %s=%lld (default %u)\n",
+                 name, static_cast<long long>(v), dflt);
+    return dflt;
+  }
+  return static_cast<unsigned>(v);
+}
+
+std::size_t env_size(const char* name, std::size_t dflt) {
+  const std::int64_t v = env_int(name, static_cast<std::int64_t>(dflt));
+  if (v < 0) {
+    std::fprintf(stderr, "xk: ignoring out-of-range %s=%lld (default %zu)\n",
+                 name, static_cast<long long>(v), dflt);
+    return dflt;
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
+
 Config Config::from_env() {
   Config cfg;
-  // Clamped readers: the raw static_casts this function used to do turned
-  // XK_SECTIONS=-1 into 4294967295 master slots (and a negative queue cap
-  // into "unbounded"); a value the cast cannot represent now falls back to
-  // the compiled-in default, with a warning so a typoed deployment knob is
-  // visible instead of silently shaping the runtime. Upper bounds are
-  // generous — they reject sign-wraps and absurdities, not big tunings.
-  const auto env_unsigned = [](const char* name, unsigned dflt,
-                               unsigned max = 1u << 20) -> unsigned {
-    const std::int64_t v =
-        env_int(name, static_cast<std::int64_t>(dflt));
-    if (v < 0 || v > static_cast<std::int64_t>(max)) {
-      std::fprintf(stderr, "xk: ignoring out-of-range %s=%lld (default %u)\n",
-                   name, static_cast<long long>(v), dflt);
-      return dflt;
-    }
-    return static_cast<unsigned>(v);
-  };
-  const auto env_size = [](const char* name, std::size_t dflt) -> std::size_t {
-    const std::int64_t v =
-        env_int(name, static_cast<std::int64_t>(dflt));
-    if (v < 0) {
-      std::fprintf(stderr, "xk: ignoring out-of-range %s=%lld (default %zu)\n",
-                   name, static_cast<long long>(v), dflt);
-      return dflt;
-    }
-    return static_cast<std::size_t>(v);
-  };
   cfg.nworkers = env_unsigned("XK_NCPU", 0, 4096);
   cfg.bind_threads = env_bool("XK_BIND", true);
   cfg.steal_aggregation = env_bool("XK_AGGREGATION", true);
   cfg.ready_list_threshold =
       env_size("XK_READYLIST_THRESHOLD", cfg.ready_list_threshold);
   cfg.renaming = env_bool("XK_RENAMING", false);
-  cfg.steal_backoff = static_cast<int>(env_int("XK_BACKOFF", cfg.steal_backoff));
-  cfg.park_threshold =
-      static_cast<int>(env_int("XK_PARK_THRESHOLD", cfg.park_threshold));
   cfg.topo = env_string("XK_TOPO").value_or(cfg.topo);
   cfg.cpuset = env_string("XK_CPUSET").value_or(cfg.cpuset);
   cfg.place = env_string("XK_PLACE").value_or(cfg.place);
@@ -143,10 +144,8 @@ Runtime::Runtime(Config cfg) : cfg_(cfg), service_(*this) {
                                : env_string("XK_TRACE").value_or("");
 #endif
   if (!trace_path.empty()) {
-    std::size_t cap = cfg_.trace_cap != 0
-                          ? cfg_.trace_cap
-                          : static_cast<std::size_t>(
-                                env_int("XK_TRACE_CAP", 16384));
+    std::size_t cap = cfg_.trace_cap != 0 ? cfg_.trace_cap
+                                          : env_size("XK_TRACE_CAP", 16384);
     if (cap == 0) cap = 16384;
     trace_rings_.reserve(nw_total);
     for (unsigned i = 0; i < nw_total; ++i) {
@@ -252,7 +251,7 @@ void Runtime::begin() {
     // occupied count stays >= 1 and the only 1->0 root edge — the final
     // root-frame pop in end() — is the one that fires, waking parked
     // workers exactly once when the whole batch is over.
-    occupancy_.arm_quiesce(&work_parker_, &progress_parker_);
+    occupancy_.arm_quiesce(&work_parker_);
   }
   w.push_frame();  // root frame
   open_sections_.fetch_add(1, std::memory_order_release);
@@ -293,7 +292,7 @@ void Runtime::end() {
     // No explicit broadcasts here: when this is the last open section the
     // root-frame pop below clears the final master occupancy bit, the
     // board fold sees the machine-wide root count hit zero — quiescence —
-    // and fires the armed parkers exactly once. A worker about to park
+    // and fires the armed work parker exactly once. A worker about to park
     // re-validates the section predicate inside its announce window
     // (after the release store above), so it either sees the close or its
     // prepare()-epoch park is cut short by the fire's seq bump. A

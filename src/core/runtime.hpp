@@ -60,9 +60,9 @@ class Runtime {
   unsigned nworkers() const { return nw_; }
 
   /// Pool workers plus the extra master slots (Config::sections - 1) that
-  /// back overlapping sections. Protocol-level scans — join-waiter wakes,
+  /// back overlapping sections. Protocol-level scans — victim orders,
   /// reqbox sizing, trace-ring drains — must span this count: a master's
-  /// frames are stealable and its joins parkable like any pool worker's.
+  /// frames are stealable like any pool worker's.
   unsigned nworkers_total() const {
     return static_cast<unsigned>(workers_.size());
   }
@@ -175,35 +175,21 @@ class Runtime {
     return section_active_.load(std::memory_order_acquire);
   }
 
-  /// Eventcounts for in-section idle parking (see support/parker.hpp and
-  /// docs/STEALING.md), split by what the sleeper waits for so wakeups
-  /// stay targeted:
-  ///  * work_parker — idle thieves waiting for anything stealable; woken
-  ///    one at a time by task publication (any of them can take it);
-  ///  * progress_parker — workers suspended on a shared predicate with
-  ///    potentially several legitimate waiters (a foreach retiring);
-  ///    these are few, so retirement can afford notify_all.
-  /// A worker suspended on one specific stolen task waits on its private
-  /// join parker instead (Worker::wait_and_finalize), woken exactly once
-  /// by the finishing thief; section end is signalled once by the occupancy
-  /// board's quiescence fold (OccupancyBoard::arm_quiesce), which fires
-  /// both shared parkers when the master's root-frame pop empties the
-  /// machine. Neither event broadcasts per completion any more.
+  /// The one shared eventcount for in-section idle parking (see
+  /// support/parker.hpp and docs/STEALING.md): idle thieves waiting for
+  /// anything stealable (Worker::steal_idle), woken one at a time by task
+  /// publication — any of them can take it — and all at once by the
+  /// occupancy board's quiescence fold (OccupancyBoard::arm_quiesce) when
+  /// the last section's root-frame pop empties the machine. A worker
+  /// waiting on one specific event — a stolen task's join, a foreach's
+  /// last piece — sleeps on its own parker instead (Worker::steal_until),
+  /// woken by name by the thread that ends the wait (Worker::wake).
   Parker& work_parker() { return work_parker_; }
-  Parker& progress_parker() { return progress_parker_; }
 
   /// New stealable work was published: wake one idle thief. Hot path — a
   /// probe load (or two) when nobody sleeps.
   void notify_work() {
     if (work_parker_.has_waiters()) work_parker_.notify_one();
-  }
-
-  /// A waited-on multi-waiter progress event fired (foreach retirement):
-  /// wake every suspended waiter — waking the wrong single worker would
-  /// leave the right one asleep until its timeout. Stolen-task completions
-  /// no longer come through here (see Worker::wake_joiner).
-  void notify_progress() {
-    if (progress_parker_.has_waiters()) progress_parker_.notify_all();
   }
 
 
@@ -270,7 +256,6 @@ class Runtime {
   mutable std::condition_variable idle_cv_;
   std::size_t idle_workers_ = 0;  ///< workers inside the park_cv_ wait
   Parker work_parker_;
-  Parker progress_parker_;
   std::uint64_t epoch_ = 0;
   bool shutdown_ = false;
   std::atomic<bool> section_active_{false};

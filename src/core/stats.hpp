@@ -151,7 +151,7 @@ inline std::ostream& operator<<(std::ostream& os, const WorkerStats& s) {
 /// reads many bits from one line instead of many workers' hot depth words.
 /// Everything is a relaxed heuristic hint EXCEPT the root count's last
 /// 1->0 edge, which doubles as the section-quiescence event: when armed, it
-/// fires the registered parkers exactly once (the exchange below), in place
+/// fires the registered parker exactly once (the exchange below), in place
 /// of per-completion progress broadcasts.
 class OccupancyBoard {
  public:
@@ -177,7 +177,7 @@ class OccupancyBoard {
   /// domain/root counts. Owner-called only (one writer per bit). Returns
   /// the number of fold levels the transition climbed (0 when the bit did
   /// not change, up to 3 for bit + domain + root) — the quiesce_folds
-  /// telemetry — and fires the armed quiescence parkers on the root's
+  /// telemetry — and fires the armed quiescence parker on the root's
   /// 1->0 edge.
   unsigned publish_occupied(unsigned w, bool occupied) {
     if (w >= occ_.size() || gauges_.empty()) return 0;
@@ -218,27 +218,24 @@ class OccupancyBoard {
     return root_occupied_.value.load(std::memory_order_relaxed);
   }
 
-  /// Arms the quiescence event: the next root 1->0 fold notify_all()s both
-  /// parkers exactly once (each pointer is consumed by an exchange).
-  /// Runtime::begin() arms before pushing the root frame, so the root
-  /// count is non-zero for the entire section and the only firing edge is
-  /// the master's root-frame pop in Runtime::end().
-  void arm_quiesce(Parker* work, Parker* progress) {
-    quiesce_work_.store(work, std::memory_order_release);
-    quiesce_progress_.store(progress, std::memory_order_release);
+  /// Arms the quiescence event: the next root 1->0 fold notify_all()s
+  /// `parker` exactly once (the pointer is consumed by an exchange).
+  /// Runtime::begin() arms the work parker before pushing the root frame,
+  /// so the root count is non-zero for the entire section and the only
+  /// firing edge is the master's root-frame pop in Runtime::end(). Only
+  /// idle thieves can be asleep then: a worker waiting in a join or a
+  /// foreach holds a frame, so its bit keeps the root count above zero.
+  void arm_quiesce(Parker* parker) {
+    quiesce_.store(parker, std::memory_order_release);
   }
 
   /// Drops an unfired arming (defensive; after a normal section end the
-  /// fold already consumed both pointers).
-  void disarm_quiesce() {
-    quiesce_work_.store(nullptr, std::memory_order_release);
-    quiesce_progress_.store(nullptr, std::memory_order_release);
-  }
+  /// fold already consumed the pointer).
+  void disarm_quiesce() { quiesce_.store(nullptr, std::memory_order_release); }
 
-  /// True while at least one quiescence parker is still armed (tests).
+  /// True while the quiescence parker is still armed (tests).
   bool quiesce_armed() const {
-    return quiesce_work_.load(std::memory_order_acquire) != nullptr ||
-           quiesce_progress_.load(std::memory_order_acquire) != nullptr;
+    return quiesce_.load(std::memory_order_acquire) != nullptr;
   }
 
  private:
@@ -255,15 +252,13 @@ class OccupancyBoard {
   };
 
   void fire_quiesce() {
-    // The exchanges are the exactly-once guarantee (two racing 1->0 edges
-    // cannot both see a non-null pointer), both taken before either wake
-    // so the event reads disarmed right after the root's 1->0 edge, not a
-    // futex syscall later. notify_all: notify_one's limiter may drop wakes.
-    Parker* progress =
-        quiesce_progress_.exchange(nullptr, std::memory_order_acq_rel);
-    Parker* work = quiesce_work_.exchange(nullptr, std::memory_order_acq_rel);
-    if (progress != nullptr) progress->notify_all();
-    if (work != nullptr) work->notify_all();
+    // The exchange is the exactly-once guarantee (two racing 1->0 edges
+    // cannot both see a non-null pointer), taken before the wake so the
+    // event reads disarmed right after the root's 1->0 edge, not a futex
+    // syscall later. notify_all: notify_one's limiter may drop wakes.
+    if (Parker* p = quiesce_.exchange(nullptr, std::memory_order_acq_rel)) {
+      p->notify_all();
+    }
   }
 
   Gauge* gauge(unsigned rank) {
@@ -278,8 +273,7 @@ class OccupancyBoard {
   std::vector<Padded<Gauge>> gauges_;
   std::vector<OccSlot> occ_;
   Padded<std::atomic<std::int64_t>> root_occupied_;
-  std::atomic<Parker*> quiesce_work_{nullptr};
-  std::atomic<Parker*> quiesce_progress_{nullptr};
+  std::atomic<Parker*> quiesce_{nullptr};
 };
 
 }  // namespace xk

@@ -45,21 +45,13 @@ constexpr int kLocalStealTries = 4;
 Worker::Worker(Runtime& rt, unsigned id, unsigned nworkers)
     : rt_(rt),
       id_(id),
-      backoff_limit_(rt.config().steal_backoff),
-      park_threshold_(rt.config().park_threshold),
       reclaim_enabled_(!rt.config().renaming),
       svc_(&rt.service_),
       work_parker_(&rt.work_parker()),
-      progress_parker_(&rt.progress_parker()),
       frames_(kMaxDepth),
       reqbox_(nworkers),
       scan_state_(kMaxDepth),
       rng_(0x853c49e6748fea9bULL ^ (id * 0x9e3779b97f4a7c15ULL)) {
-  // Parking engages only after the yield phase; a threshold at or below the
-  // spin limit would park before ever yielding.
-  if (park_threshold_ > 0 && park_threshold_ <= backoff_limit_) {
-    park_threshold_ = backoff_limit_ + 1;
-  }
   // Locality snapshot: Runtime computes the placement (and sizes the
   // occupancy board) before constructing any worker, so the victim
   // ordering and the board pointer are stable for the runtime's life.
@@ -215,12 +207,9 @@ void Worker::run_task(Task* t, Frame* src, bool stolen) {
     // The body wrote into rename buffers; the frame owner commits them in
     // program order (wait_and_finalize) and publishes Term. seq_cst store:
     // half of the no-lost-wakeup pairing with the owner's registration
-    // (see wake_joiner).
+    // (see wake_joiner, which execute_reply calls next).
     check_task_store(t, TaskState::kCommitReady);
     t->state.store(TaskState::kCommitReady, std::memory_order_seq_cst);
-    // The owner may be parked waiting on exactly this task — wake it and
-    // only it (the old path broadcast to every suspended waiter).
-    wake_joiner(t);
     return;
   }
   if (!stolen && t->renames != nullptr) {
@@ -241,38 +230,28 @@ void Worker::run_task(Task* t, Frame* src, bool stolen) {
                  stolen ? std::memory_order_seq_cst
                         : std::memory_order_release);
   if (stolen) {
-    // Targeted completion wake: only the frame owner registered on this
-    // task (if any) can be blocked on it — wake exactly that worker. The
-    // completion may also have released dataflow successors into the ready
+    // The completion may have released dataflow successors into the ready
     // list above, which is new stealable work: ping one idle thief through
-    // the standard (rate-limited) work wake. Together these replace the
-    // old notify_progress broadcast that woke every suspended worker on
-    // every stolen completion.
-    wake_joiner(t);
+    // the standard (rate-limited) work wake. The frame owner, which may be
+    // suspended on exactly this task, is woken by execute_reply.
     rt_.notify_work();
   }
 }
 
-void Worker::wake_joiner(Task* t) {
+void Worker::wake_joiner(Worker& owner, Task* t) {
   // Runs after this thief's final seq_cst state store. `t` is used only
   // as a pointer *value* from here on — the owner may observe that store,
   // return from its join and recycle the descriptor's arena block at any
-  // moment, so dereferencing it again would race with the reuse. The scan
-  // reads each worker's stable join cell instead: seq_cst loads paired
-  // with the waiter's seq_cst registration store, so either this scan
-  // observes the registration (and the wake below lands) or the waiter's
-  // seq_cst state re-check is ordered after our final state store and it
-  // never parks on a completed task. At most one worker (the frame owner)
-  // can be registered on a given live task, so the wake stays targeted.
-  // The scan spans the master slots too: a section's master draining its
-  // root frame joins stolen tasks exactly like a pool worker.
-  const unsigned n = rt_.nworkers_total();
-  for (unsigned i = 0; i < n; ++i) {
-    Worker& w = rt_.worker(i);
-    if (w.join_target_.load(std::memory_order_seq_cst) == t) {
-      stats_->join_wakes++;
-      w.join_parker_.notify_all();
-    }
+  // moment, so dereferencing it again would race with the reuse. The
+  // owner's stable join cell is read instead: a seq_cst load paired with
+  // the owner's seq_cst registration store, so either this load observes
+  // the registration (and the wake lands) or the owner's seq_cst state
+  // re-check is ordered after our final state store and it never parks on
+  // a completed task. Only the frame owner can be registered on a task of
+  // its frame, so no other worker's cell needs a look.
+  if (owner.join_target_.load(std::memory_order_seq_cst) == t) {
+    stats_->join_wakes++;
+    owner.wake();
   }
 }
 
@@ -324,17 +303,17 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
     return;
   }
   // Register the task in this worker's own join cell, then steal (and
-  // eventually park on the private join parker) until the thief parks the
+  // eventually park on this worker's own parker) until the thief parks the
   // task in a final state. The registration is re-asserted on *every*
-  // predicate evaluation: stolen work executed inside steal_until_on may
+  // predicate evaluation: stolen work executed inside steal_until may
   // itself sync and overwrite the cell with a nested wait, and the
   // re-store restores the outer registration before the next park. Both
   // thief-side final transitions are seq_cst stores followed by a seq_cst
-  // scan of these cells; the seq_cst registration + seq_cst predicate
-  // load close the store-buffering window, so either the thief's scan
-  // sees the registration (wake lands) or this load sees the final state
-  // (never parks) — the park timeout remains only as the generic
-  // backstop.
+  // load of this cell (wake_joiner); the seq_cst registration + seq_cst
+  // predicate load close the store-buffering window, so either the
+  // thief's load sees the registration (wake lands) or this load sees the
+  // final state (never parks) — the park timeout remains only as the
+  // generic backstop.
   //
   // A frame with a ready list is this worker's own schedule: the owner
   // pops from it before stealing anywhere else, and the steal loop hands
@@ -342,7 +321,7 @@ void Worker::wait_and_finalize(Task* t, Frame& f) {
   for (;;) {
     if (help_from_ready_list(t, f)) break;
     bool list_ready = false;
-    steal_until_on(join_parker_, [&] {
+    steal_until([&] {
       join_target_.store(t, std::memory_order_seq_cst);
       const TaskState cur = t->load_state(std::memory_order_seq_cst);
       if (cur == TaskState::kTerm || cur == TaskState::kCommitReady) {
@@ -530,7 +509,7 @@ bool Worker::try_steal_once() {
                      remote ? 1 : 0);
       // Any success re-engages the local-first preference.
       local_fails_ = 0;
-      if (won) execute_reply(t, fr);
+      if (won) execute_reply(t, fr, *victim);
       return true;
     }
     if (s == StealRequest::kFailed) {
@@ -559,7 +538,7 @@ bool Worker::try_combine(Worker& victim) {
   return true;
 }
 
-void Worker::execute_reply(Task* t, Frame* src) {
+void Worker::execute_reply(Task* t, Frame* src, Worker& victim) {
   if (t->heap_owned() && src == nullptr) {
     // Splitter-produced task (fresh, unclaimed, owned by no frame yet):
     // host it in a fresh frame of this stack so it is visible to further
@@ -578,7 +557,12 @@ void Worker::execute_reply(Task* t, Frame* src) {
     }
     pop_frame();
   } else {
+    // Every reply comes from `victim`'s frames, and only that frame's
+    // owner can be joined on it: the rule wake_joiner's O(1) wake rests on.
+    assert(src >= victim.frames_.data() &&
+           src < victim.frames_.data() + victim.frames_.size());
     run_task(t, src, /*stolen=*/true);
+    wake_joiner(victim, t);
   }
 }
 

@@ -111,6 +111,12 @@ class Worker {
  public:
   static constexpr std::uint32_t kMaxDepth = 512;
 
+  /// Idle-path constants (docs/TUNING.md): an idle loop retries a failed
+  /// steal at once up to kIdleSpins times, yields until kIdleParkAfter
+  /// consecutive failures, then parks for park_timeout().
+  static constexpr int kIdleSpins = 16;
+  static constexpr int kIdleParkAfter = 128;
+
   Worker(Runtime& rt, unsigned id, unsigned nworkers);
   ~Worker();
 
@@ -175,57 +181,29 @@ class Worker {
   /// job or posts a steal request to a random victim, backing off as
   /// failures accumulate — spin, then yield, then park (bounded
   /// exponential sleep with the timeout as the lost-wakeup backstop).
-  /// Used by foreach completion waits; the sleeper waits on the *progress*
-  /// parker, woken by foreach retirement and the section-end quiescence
-  /// fire (and re-validates stealable work before sleeping). A join on one
-  /// specific stolen task uses steal_until_on with the private join parker
-  /// instead (see wait_and_finalize).
+  /// The sleeper parks on this worker's own parker: every in-section wait
+  /// knows the one thread that ends it — the thief of a joined task
+  /// (wake_joiner, from wait_and_finalize) or the last retiring body of a
+  /// foreach (foreach_body) — and that thread calls wake(). It
+  /// re-validates stealable work before sleeping.
   template <typename Pred>
   void steal_until(Pred&& done) {
-    steal_until_on(*progress_parker_, done);
+    steal_until_on(parker_, done);
   }
 
   /// Same loop for a pure work-waiter (the scheduler idle loop): parks on
-  /// the *work* parker, woken one at a time by task publication.
+  /// the shared *work* parker, woken one at a time by task publication and
+  /// all at once by the section-end quiescence fire.
   template <typename Pred>
   void steal_idle(Pred&& done) {
     steal_until_on(*work_parker_, done);
   }
 
-  template <typename Pred>
-  void steal_until_on(Parker& parker, Pred&& done) {
-    int failures = 0;
-    while (!done()) {
-      if (try_run_job() || try_steal_once()) {
-        failures = 0;
-        continue;
-      }
-      ++failures;
-      if (failures <= backoff_limit_) continue;  // hot spin: retry at once
-      if (park_threshold_ <= 0 || failures < park_threshold_) {
-        std::this_thread::yield();
-        continue;
-      }
-      // Park. Announce first, then re-validate inside the announce window
-      // (a publisher that saw the announce notifies; one that published
-      // just before is caught by the extra steal attempt), then sleep with
-      // a bounded, escalating timeout as the lost-wakeup backstop. A
-      // waiting job is only noticed here and run after the retract, so a
-      // long job never holds a slot among the parker's sleepers.
-      const std::uint32_t epoch = parker.prepare();
-      parker.announce();
-      if (done() || jobs_waiting() || try_steal_once()) {
-        parker.retract();
-        failures = 0;
-        continue;
-      }
-      stats_->parks++;
-      const std::uint64_t park_t0 = obs::span_begin();
-      const bool woken = parker.park(epoch, park_timeout(failures));
-      if (woken) stats_->park_wakes++;
-      obs::emit_span(obs::Ev::kPark, park_t0, woken ? 1 : 0);
-      parker.retract();
-    }
+  /// Ends a steal_until park of this worker. Only the thread that
+  /// completes what this worker waits on calls it, so it cannot wake the
+  /// wrong sleeper; a call while this worker is awake costs one load.
+  void wake() {
+    if (parker_.has_waiters()) parker_.notify_all();
   }
 
   /// The idle loop's share of the service: runs one queued job in a fresh
@@ -250,8 +228,8 @@ class Worker {
   /// stealing meanwhile (§II-B: "it suspends its execution and switches to
   /// the workstealing scheduler"). Registers the task in this worker's own
   /// `join_target_` cell so the finishing thief wakes exactly this
-  /// worker's join parker (see wake_joiner), and commits pending renamed
-  /// writes when the task parks in CommitReady.
+  /// worker (see wake_joiner), and commits pending renamed writes when
+  /// the task parks in CommitReady.
   void wait_and_finalize(Task* t, Frame& f);
 
   std::uint32_t depth_relaxed() const {
@@ -307,6 +285,43 @@ class Worker {
   friend class Runtime;
 
   [[noreturn]] static void frame_overflow();
+
+  /// The idle loop behind steal_until and steal_idle, sleeping on `parker`.
+  template <typename Pred>
+  void steal_until_on(Parker& parker, Pred&& done) {
+    int failures = 0;
+    while (!done()) {
+      if (try_run_job() || try_steal_once()) {
+        failures = 0;
+        continue;
+      }
+      ++failures;
+      if (failures <= kIdleSpins) continue;  // hot spin: retry at once
+      if (failures < kIdleParkAfter) {
+        std::this_thread::yield();
+        continue;
+      }
+      // Park. Announce first, then re-validate inside the announce window
+      // (a publisher that saw the announce notifies; one that published
+      // just before is caught by the extra steal attempt), then sleep with
+      // a bounded, escalating timeout as the lost-wakeup backstop. A
+      // waiting job is only noticed here and run after the retract, so a
+      // long job never holds a slot among the parker's sleepers.
+      const std::uint32_t epoch = parker.prepare();
+      parker.announce();
+      if (done() || jobs_waiting() || try_steal_once()) {
+        parker.retract();
+        failures = 0;
+        continue;
+      }
+      stats_->parks++;
+      const std::uint64_t park_t0 = obs::span_begin();
+      const bool woken = parker.park(epoch, park_timeout(failures));
+      if (woken) stats_->park_wakes++;
+      obs::emit_span(obs::Ev::kPark, park_t0, woken ? 1 : 0);
+      parker.retract();
+    }
+  }
 
   /// Occupancy hint on the 0<->1 depth transitions: publishes "has work"
   /// (once per stolen reply / section root, not per task, so the board
@@ -387,14 +402,16 @@ class Worker {
   std::size_t deal_pool(std::vector<PendingReq>& pending, std::size_t served,
                         StealRequest* self_slot);
 
-  /// Executes a steal reply: a stolen descriptor (runs as thief) or a
-  /// splitter-produced heap task (hosted in a fresh frame of this stack).
-  void execute_reply(Task* t, Frame* src);
+  /// Executes a steal reply from `victim`: a stolen descriptor (runs as
+  /// thief, then wake_joiner) or a splitter-produced heap task (hosted in
+  /// a fresh frame of this stack).
+  void execute_reply(Task* t, Frame* src, Worker& victim);
 
-  /// Consumes a stolen task's join-waiter registration (if any) and wakes
-  /// that worker's join parker — the targeted replacement for the old
-  /// every-completion progress broadcast.
-  void wake_joiner(Task* t);
+  /// Wakes `owner` when its join cell names `t`, the stolen descriptor
+  /// this thief just completed. A stolen descriptor lives in a frame of
+  /// the victim it was stolen from, and only a frame's owner drains it,
+  /// so `owner` is that victim: the wake costs one load, not a scan.
+  void wake_joiner(Worker& owner, Task* t);
 
   /// Victim-draw probe: the victim's occupancy-board bit, published only
   /// on its 0<->1 frame-depth edges, so the draw reads a read-mostly line
@@ -407,16 +424,14 @@ class Worker {
   }
 
   /// Escalating park timeout: 50us doubling to a 1.6ms cap as consecutive
-  /// failures mount past the park threshold.
-  std::chrono::nanoseconds park_timeout(int failures) const {
-    const int k = std::min(failures - park_threshold_, 5);
+  /// failures mount past kIdleParkAfter.
+  static std::chrono::nanoseconds park_timeout(int failures) {
+    const int k = std::min(failures - kIdleParkAfter, 5);
     return std::chrono::microseconds{50u << (k < 0 ? 0 : k)};
   }
 
   Runtime& rt_;
   const unsigned id_;
-  int backoff_limit_;
-  int park_threshold_;
   bool reclaim_enabled_;  ///< join-side reclaim; off under renaming (see wait_and_finalize)
 
   // Locality-aware victim selection (snapshotted from Runtime::placement()
@@ -430,18 +445,17 @@ class Worker {
   int local_fails_ = 0;                 ///< consecutive failed local-tier rounds
   OccupancyBoard* occupancy_ = nullptr;  ///< the runtime's occupancy bits
   detail::ServiceState* svc_;            ///< the runtime's tenant lanes
-  // The runtime's shared parkers (cached: Runtime is incomplete here).
+  // The runtime's shared work parker (cached: Runtime is incomplete here).
   Parker* work_parker_;
-  Parker* progress_parker_;
-  // Private join parker for targeted stolen-completion wakes, and the
-  // stolen task this worker is currently suspended on (null otherwise).
+  // This worker's own parker (steal_until sleeps here, wake() ends it),
+  // and the stolen task it is currently suspended on (null otherwise).
   // The cell lives in the *waiter*, not the task: a completing thief may
   // not touch task memory after its final state store — the owner can
   // observe that store, return from the join, pop the frame and recycle
   // the descriptor's arena block while the thief is still mid-wake. The
-  // thief therefore only compares task *pointers* against these
-  // stable-for-runtime-lifetime cells (wake_joiner).
-  Parker join_parker_;
+  // thief therefore only compares the task *pointer* against this
+  // stable-for-runtime-lifetime cell (wake_joiner).
+  Parker parker_;
   std::atomic<Task*> join_target_{nullptr};
 
   // Frame stack. `depth_` is the Dekker-side publication; frames above the

@@ -51,10 +51,13 @@ static_assert(sizeof(TraceEvent) == kCacheLine);
 /// drain() is called only while the owner is quiesced (see header note).
 class TraceRing {
  public:
-  /// `capacity` is rounded up to a power of two (min 8).
+  /// Largest ring: 2^20 events, 64 MiB per worker.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+
+  /// `capacity` is rounded up to a power of two in [8, kMaxCapacity].
   explicit TraceRing(std::size_t capacity) {
     std::size_t cap = 8;
-    while (cap < capacity) cap <<= 1;
+    while (cap < capacity && cap < kMaxCapacity) cap <<= 1;
     mask_ = cap - 1;
     slots_ = std::make_unique<TraceEvent[]>(cap);
   }

@@ -139,9 +139,11 @@ class Parker {
     wake(1);
   }
 
-  /// Wakes every parked worker (progress events a *specific* waiter may be
-  /// blocked on — stolen-task completion, section end — where waking the
-  /// wrong single worker would leave the right one asleep until timeout).
+  /// Wakes every parked worker, never rate-limited. Used for wakes that
+  /// must not be dropped: a worker's own parker, whose one sleeper is
+  /// woken by name when its join or foreach wait ends (Worker::wake), and
+  /// the section-end quiescence fire on the shared work parker, where
+  /// notify_one's limiter could drop the one wake that fires.
   void notify_all() {
     bump();
     wake(std::numeric_limits<int>::max());

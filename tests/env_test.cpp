@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "core/runtime.hpp"
@@ -136,6 +137,26 @@ TEST(ConfigFromEnv, NegativeNcpuFallsBack) {
 TEST(ConfigFromEnv, NegativeTraceCapFallsBack) {
   ScopedEnv e("XK_TRACE_CAP", "-1");
   EXPECT_EQ(xk::Config::from_env().trace_cap, kDefaults.trace_cap);
+}
+
+TEST(ConfigFromEnv, NegativeTraceCapFallsBackInPlainConfigRuntime) {
+#ifdef XK_OBS_OFF
+  GTEST_SKIP() << "XK_OBS=OFF build: no trace rings";
+#else
+  // A plain Config (trace_cap = 0) defers the capacity to XK_TRACE_CAP
+  // at construction; that read must take the same clamped parse as
+  // from_env, not cast -1 to SIZE_MAX and hang rounding the ring size.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "xk_env_test_trace.json")
+          .string();
+  ScopedEnv trace("XK_TRACE", path.c_str());
+  ScopedEnv cap("XK_TRACE_CAP", "-1");
+  xk::Config cfg;
+  cfg.nworkers = 1;
+  xk::Runtime rt(cfg);
+  ASSERT_TRUE(rt.tracing());
+  EXPECT_EQ(rt.trace_ring(0)->capacity(), 16384u);
+#endif
 }
 
 // ---- XK_SVC_WEIGHTS (parsed at first submit, in the ServiceState ctor) ----

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -279,6 +281,64 @@ TEST(Foreach, DomainPartitionCoversExactlyOnce) {
           << "mode " << static_cast<int>(mode) << " index " << i;
     }
   }
+}
+
+TEST(Foreach, LastPieceWakesItsParkedWaiter) {
+  // Targeted retirement wake: the worker waiting for a loop's last live
+  // piece sleeps on its own parker, and that piece's retirement must end
+  // the sleep by notification, not by the park timeout. The master's
+  // slice (index 0) ends as soon as the other slice was picked up
+  // elsewhere, so the master cannot claim it; that stolen piece spins
+  // ~20 ms, long enough for the master to run dry and park.
+  xk::Config c = cfg(2);
+  c.topo = "1x2";
+  xk::Runtime rt(c);
+  xk::ForeachOptions opt;
+  opt.grain = 1;
+  int shaped = 0;  // attempts where the master ran its slice and parked
+  for (int attempt = 0; attempt < 40; ++attempt) {
+    std::atomic<bool> piece_started{false};
+    std::atomic<unsigned> slice_wid{~0u}, piece_wid{~0u};
+    unsigned master = 0;
+    xk::WorkerStats before, after;
+    rt.run([&] {
+      xk::Worker& self = *xk::this_worker();
+      master = self.id();
+      before = self.stats();
+      xk::parallel_for(
+          0, 2,
+          [&](std::int64_t lo, std::int64_t, unsigned wid) {
+            const auto now = [] { return std::chrono::steady_clock::now(); };
+            if (lo == 0) {
+              slice_wid.store(wid);
+              const auto until = now() + std::chrono::milliseconds(50);
+              while (!piece_started.load() && now() < until) {
+                std::this_thread::yield();
+              }
+            } else {
+              piece_wid.store(wid);
+              piece_started.store(true);
+              const auto until = now() + std::chrono::milliseconds(20);
+              while (now() < until) {
+              }
+            }
+          },
+          opt);
+      after = self.stats();
+    });
+    // A stolen root or a piece run by the master itself is another shape:
+    // the master's parks would then include join waits. Retry.
+    if (slice_wid.load() != master || piece_wid.load() == master) continue;
+    if (after.parks == before.parks) continue;
+    ++shaped;
+    // The notification can miss a park only when the piece retires while
+    // the master is between two parks; one notified park is the proof.
+    if (after.park_wakes > before.park_wakes) return;
+  }
+  // On a 1-core box the master may never get to park while the piece runs;
+  // completing every loop is then all this machine can demonstrate.
+  EXPECT_EQ(shaped, 0) << "the master parked in " << shaped
+                       << " attempts, and no park ended by notification";
 }
 
 }  // namespace

@@ -1003,13 +1003,13 @@ TEST(OccupancyBoardTest, QuiesceFiresExactlyOnceAndDisarms) {
   xk::OccupancyBoard b;
   b.init(1);
   b.init_occupancy({0});
-  xk::Parker work, progress;
-  b.arm_quiesce(&work, &progress);
+  xk::Parker work;
+  b.arm_quiesce(&work);
   EXPECT_TRUE(b.quiesce_armed());
   // A root rise never fires.
   b.publish_occupied(0, true);
   EXPECT_TRUE(b.quiesce_armed());
-  // The root 1 -> 0 edge fires and consumes both parker registrations.
+  // The root 1 -> 0 edge fires and consumes the parker registration.
   EXPECT_EQ(b.publish_occupied(0, false), 3u);
   EXPECT_FALSE(b.quiesce_armed());
   // A later cycle still counts its folds but has nothing left to fire.
@@ -1017,7 +1017,7 @@ TEST(OccupancyBoardTest, QuiesceFiresExactlyOnceAndDisarms) {
   EXPECT_EQ(b.publish_occupied(0, false), 3u);
   EXPECT_FALSE(b.quiesce_armed());
   // disarm_quiesce drops an unfired arming.
-  b.arm_quiesce(&work, &progress);
+  b.arm_quiesce(&work);
   EXPECT_TRUE(b.quiesce_armed());
   b.disarm_quiesce();
   EXPECT_FALSE(b.quiesce_armed());
@@ -1027,9 +1027,9 @@ TEST(OccupancyBoardTest, QuiesceWakesParkedWaiterByNotification) {
   xk::OccupancyBoard b;
   b.init(1);
   b.init_occupancy({0});
-  xk::Parker work, progress;
+  xk::Parker work;
   b.publish_occupied(0, true);
-  b.arm_quiesce(&work, &progress);
+  b.arm_quiesce(&work);
   std::atomic<bool> notified{false};
   std::thread sleeper([&] {
     const std::uint32_t epoch = work.prepare();
@@ -1378,7 +1378,7 @@ TEST(Occupancy, SectionsReuseCleanlyAcrossRuns) {
 
 TEST(AdaptiveSteal, StolenJoinWakesWaiterExactlyOnce) {
   // Quiescence regression: a task stolen to a remote-domain thief must
-  // wake its suspended joiner through the targeted join parker — exactly
+  // wake its suspended joiner through the joiner's own parker — exactly
   // one wake per stolen join, no completion broadcast. The choreography
   // forces the shape: the master runs A (which spins until B was picked
   // up elsewhere), so B can only run via a steal; B then lingers long

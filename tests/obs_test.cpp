@@ -38,6 +38,15 @@ TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(xk::obs::TraceRing(16384).capacity(), 16384u);
 }
 
+TEST(TraceRing, HugeCapacityIsCapped) {
+  // The rounding stops at 2^20 events: a request past it (a sign-wrapped
+  // XK_TRACE_CAP=-1, say) must not double the capacity until it wraps to
+  // 0 and loops forever.
+  constexpr std::size_t kCap = std::size_t{1} << 20;
+  EXPECT_EQ(xk::obs::TraceRing(kCap + 1).capacity(), kCap);
+  EXPECT_EQ(xk::obs::TraceRing(SIZE_MAX).capacity(), kCap);
+}
+
 TEST(TraceRing, DrainReturnsOldestFirst) {
   xk::obs::TraceRing ring(8);
   for (std::uint64_t i = 0; i < 5; ++i) {
